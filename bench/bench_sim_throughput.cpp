@@ -1,24 +1,29 @@
 // bench_sim_throughput: hot-path throughput of the simulator itself —
-// simulated packets per WALL second, not modelled Mpps. This is the
-// gating bench for the burst redesign (docs/BURST_API.md): it runs the
-// same saturated single-pod workload twice, once with per-packet events
-// (rx_burst=1, ingress_batch=1 — the pre-redesign activation pattern)
-// and once with 32-packet bursts, and emits BENCH_sim_throughput.json
-// for the CI bench-smoke job to diff against the committed baseline.
+// simulated packets per WALL second, not modelled Mpps. It runs the same
+// saturated single-pod workload twice over the one datapath, once with an
+// event-loop activation per packet (rx_burst=1, ingress_batch=1) and once
+// with 32-packet batches (docs/BURST_API.md), and emits
+// BENCH_sim_throughput.json for the CI bench-smoke job to diff against
+// the committed baseline.
 //
 // Usage: bench_sim_throughput [--quick] [--json PATH]
 //                             [--check-against BASELINE.json]
 //                             [--max-regression FRAC]
+//                             [--check-counts BASELINE.json]
 //   --quick           50 ms simulated instead of 200 ms (CI smoke)
 //   --json            output path (default BENCH_sim_throughput.json)
 //   --check-against   committed baseline JSON; exits 1 when the burst
 //                     pkts/wall-s falls more than FRAC below it
 //   --max-regression  regression tolerance, default 0.20
+//   --check-counts    committed baseline JSON; exits 1 unless both
+//                     configurations simulate exactly its packet and
+//                     event counts (deterministic, so machine-independent)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -112,6 +117,28 @@ void write_json(const std::string& path, bool quick, const RunResult& scalar,
   std::fclose(f);
 }
 
+/// Reads a committed baseline bench JSON; nullopt (with a message) when
+/// it is missing or lacks the per-configuration objects.
+std::optional<JsonValue> load_baseline(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "bench_sim_throughput: cannot read baseline %s\n",
+                 path.c_str());
+    return std::nullopt;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  auto parsed = json_parse(ss.str());
+  if (!parsed || !parsed->is_object() || !(*parsed)["scalar"].is_object() ||
+      !(*parsed)["burst"].is_object()) {
+    std::fprintf(stderr,
+                 "bench_sim_throughput: baseline %s is not a bench JSON\n",
+                 path.c_str());
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 /// Regression gate for CI bench-smoke: compares the burst-config
 /// throughput against a committed baseline JSON. Returns 0 on pass,
 /// 1 on regression or unreadable baseline. Wall-clock throughput is
@@ -120,23 +147,10 @@ void write_json(const std::string& path, bool quick, const RunResult& scalar,
 /// accidental per-packet allocation or event), not 5% jitter.
 int check_against(const std::string& baseline_path, double max_regression,
                   const RunResult& burst) {
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::fprintf(stderr, "bench_sim_throughput: cannot read baseline %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const auto parsed = json_parse(ss.str());
-  if (!parsed || !parsed->is_object() || !(*parsed)["burst"].is_object()) {
-    std::fprintf(stderr,
-                 "bench_sim_throughput: baseline %s is not a bench JSON\n",
-                 baseline_path.c_str());
-    return 1;
-  }
+  const auto baseline = load_baseline(baseline_path);
+  if (!baseline) return 1;
   const double base =
-      (*parsed)["burst"].get_number("pkts_per_wall_second", 0.0);
+      (*baseline)["burst"].get_number("pkts_per_wall_second", 0.0);
   const double floor = base * (1.0 - max_regression);
   const bool ok = burst.pkts_per_wall_second >= floor;
   bench::print_row(
@@ -147,12 +161,40 @@ int check_against(const std::string& baseline_path, double max_regression,
   return ok ? 0 : 1;
 }
 
+/// Exact gate: virtual time is deterministic, so the packets offered
+/// and events processed must equal the baseline's on any machine. One
+/// extra event anywhere on the hot path fails it.
+int check_counts(const std::string& baseline_path, const RunResult& scalar,
+                 const RunResult& burst) {
+  const auto baseline = load_baseline(baseline_path);
+  if (!baseline) return 1;
+  bool ok = true;
+  const auto check = [&](const char* name, const RunResult& r) {
+    const JsonValue& b = (*baseline)[name];
+    const auto packets = static_cast<std::uint64_t>(b.get_int("packets", -1));
+    const auto events = static_cast<std::uint64_t>(b.get_int("events", -1));
+    const bool same = r.packets == packets && r.events == events;
+    bench::print_row(
+        "  count gate: %-6s packets %llu (baseline %llu), events %llu "
+        "(baseline %llu) -> %s",
+        name, static_cast<unsigned long long>(r.packets),
+        static_cast<unsigned long long>(packets),
+        static_cast<unsigned long long>(r.events),
+        static_cast<unsigned long long>(events), same ? "PASS" : "FAIL");
+    ok = ok && same;
+  };
+  check("scalar", scalar);
+  check("burst", burst);
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
   std::string json_path = "BENCH_sim_throughput.json";
   std::string baseline_path;
+  std::string counts_path;
   double max_regression = 0.20;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -163,6 +205,8 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--max-regression") == 0 && i + 1 < argc) {
       max_regression = std::strtod(argv[++i], nullptr);
+    } else if (std::strcmp(argv[i], "--check-counts") == 0 && i + 1 < argc) {
+      counts_path = argv[++i];
     }
   }
   const NanoTime duration = (quick ? 50 : 200) * kMillisecond;
@@ -182,8 +226,10 @@ int main(int argc, char** argv) {
   }
   write_json(json_path, quick, scalar, burst);
   bench::print_row("  wrote %s", json_path.c_str());
+  int rc = 0;
+  if (!counts_path.empty()) rc |= check_counts(counts_path, scalar, burst);
   if (!baseline_path.empty()) {
-    return check_against(baseline_path, max_regression, burst);
+    rc |= check_against(baseline_path, max_regression, burst);
   }
-  return 0;
+  return rc;
 }

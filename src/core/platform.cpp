@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <span>
 
 #include "container/pod_spec.hpp"
 
@@ -70,17 +69,16 @@ void Platform::attach_source(std::unique_ptr<TrafficSource> src, PodId pod) {
 
 void Platform::pump(std::size_t source_idx) {
   SourceBinding& b = sources_[source_idx];
-  const std::size_t max_batch =
-      std::min(std::max<std::size_t>(cfg_.ingress_batch, 1),
-               NicPipeline::kMaxIngressBurst);
+  const std::size_t max_batch = std::clamp<std::size_t>(cfg_.ingress_batch, 1,
+                                                        kMaxIngressBurst);
   const NanoTime window_end = loop_.now() + cfg_.ingress_batch_window;
 
   // Draw up to a batch of arrivals from this source; each keeps its
   // exact arrival timestamp. Arrivals past the window stay queued for
   // the next activation so the batch never reaches far ahead of the
   // clock.
-  std::array<PacketPtr, NicPipeline::kMaxIngressBurst> pkts;
-  std::array<NanoTime, NicPipeline::kMaxIngressBurst> at;
+  std::array<PacketPtr, kMaxIngressBurst> pkts;
+  std::array<NanoTime, kMaxIngressBurst> at;
   std::size_t n = 0;
   while (n < max_batch) {
     const auto t = b.src->next_time();
@@ -93,23 +91,8 @@ void Platform::pump(std::size_t source_idx) {
       ++n;
     }
   }
-
-  if (n == 1 || offline_[b.pod]) {
-    // Scalar path (also the blackhole path, where per-packet counting
-    // is all that happens anyway).
-    for (std::size_t i = 0; i < n; ++i) {
-      handle_ingress(std::move(pkts[i]), b.pod, at[i]);
-    }
-  } else if (n > 1) {
-    PodTelemetry& tel = telemetry_[b.pod];
-    tel.offered += n;
-    for (std::size_t i = 0; i < n; ++i) ++tenants_[pkts[i]->vni].offered;
-    std::array<IngressResult, NicPipeline::kMaxIngressBurst> results;
-    nic_.ingress_burst(std::span(pkts.data(), n), std::span(at.data(), n),
-                       b.pod, std::span(results.data(), n));
-    for (std::size_t i = 0; i < n; ++i) {
-      finish_ingress(std::move(results[i]), b.pod);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    handle_ingress(std::move(pkts[i]), b.pod, at[i]);
   }
 
   const auto t = b.src->next_time();
@@ -130,20 +113,18 @@ void Platform::handle_ingress(PacketPtr pkt, PodId pod, NanoTime now) {
     return;
   }
 
-  finish_ingress(nic_.ingress(std::move(pkt), pod, now), pod);
-}
-
-void Platform::finish_ingress(IngressResult r, PodId pod) {
-  PodTelemetry& tel = telemetry_[pod];
-  TenantCounters& tc = tenants_[r.pkt->vni];
+  IngressResult r = nic_.ingress(std::move(pkt), pod, now);
+  // Parsing may rewrite the VNI, so the outcome is charged to the
+  // tenant the NIC saw.
+  TenantCounters& out_tc = tenants_[r.pkt->vni];
   switch (r.outcome) {
     case IngressOutcome::kDroppedRateLimit:
       ++tel.dropped_rate_limit;
-      ++tc.dropped_rate_limit;
+      ++out_tc.dropped_rate_limit;
       return;
     case IngressOutcome::kDroppedReorderFull:
       ++tel.dropped_reorder_full;
-      ++tc.dropped_other;
+      ++out_tc.dropped_other;
       return;
     case IngressOutcome::kOffloaded: {
       // Handled entirely on the NIC (FPGA session offload or DPU tier):
@@ -151,7 +132,7 @@ void Platform::finish_ingress(IngressResult r, PodId pod) {
       ++tel.delivered;
       ++tel.delivered_in_order;
       tel.wire_latency.record(r.deliver_time - r.pkt->rx_time);
-      ++tc.delivered;
+      ++out_tc.delivered;
       if (order_oracle_) {
         // Record at the *wire* time, not here: ingress batching can
         // process this arrival before a CPU forward of the same flow

@@ -41,11 +41,12 @@ struct PlatformConfig {
   /// working set from the actual populated tables instead.
   std::uint64_t working_set_bytes = 4ull << 30;
   /// Source pump batching: one event-loop activation draws up to this
-  /// many arrivals from a source (clamped to NicPipeline::kMaxIngressBurst)
-  /// and runs them through ingress_burst with their exact per-packet
-  /// arrival times. 1 = one event per packet (legacy). Batching never
-  /// changes per-packet timestamps, only how many the host amortizes
-  /// per activation — like NAPI polling vs per-packet interrupts.
+  /// many arrivals from a source (clamped to Platform::kMaxIngressBurst)
+  /// and runs each through NicPipeline::ingress at its exact arrival
+  /// time. 1 = one event per packet. The batch size only changes how
+  /// many arrivals the host amortizes per activation — like NAPI polling
+  /// vs per-packet interrupts — never a packet's outcome or timestamps;
+  /// tests/test_burst_diff.cpp checks that invariance over the one path.
   std::size_t ingress_batch = 32;
   /// Arrivals later than this past the batch head are left for the next
   /// pump activation, bounding how far ahead of the virtual clock a
@@ -82,6 +83,9 @@ struct TenantCounters {
 
 class Platform {
  public:
+  /// Most arrivals one pump activation draws (caps ingress_batch).
+  static constexpr std::size_t kMaxIngressBurst = 32;
+
   explicit Platform(PlatformConfig cfg = {});
 
   /// Creates a pod; its PLB engine geometry defaults from the spec
@@ -135,10 +139,9 @@ class Platform {
 
  private:
   void pump(std::size_t source_idx);
+  /// Counts one arrival, runs it through the NIC and schedules the pod
+  /// delivery event for a packet that reaches the host.
   void handle_ingress(PacketPtr pkt, PodId pod, NanoTime now);
-  /// Common tail of scalar and burst ingress: counts the outcome and
-  /// schedules the pod delivery event.
-  void finish_ingress(IngressResult r, PodId pod);
   /// Order-oracle bookkeeping for one wire delivery (CPU egress AND
   /// NIC-resident tier/offload serves — recording both is what lets the
   /// oracle catch a fast-path packet overtaking its flow's slow-path

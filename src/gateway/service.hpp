@@ -75,10 +75,8 @@ struct ServiceFaults {
 
 /// A burst of packets drained from one RX ring, laid out
 /// struct-of-arrays: the owning pointers sit in one lane and the
-/// per-packet metadata the service loop actually touches (affinity,
-/// service-rng stream, outcome) in separate contiguous lanes, so a
-/// stage-split service walks dense arrays instead of chasing Packet
-/// objects (docs/BURST_API.md).
+/// per-packet metadata the service loop touches (affinity, service-rng
+/// stream, outcome) in separate contiguous lanes (docs/BURST_API.md).
 struct PacketBurst {
   static constexpr std::size_t kMaxBurst = 32;
 
@@ -89,7 +87,7 @@ struct PacketBurst {
   std::array<bool, kMaxBurst> flow_affine{};
   /// Per-packet service-rng stream seed. Non-zero seeds make service
   /// randomness a pure function of the packet (burst-size invariant,
-  /// which the burst-vs-scalar differential oracle requires); zero
+  /// which the burst-size-invariance suite requires); zero
   /// falls back to the caller's shared Rng.
   std::array<std::uint64_t, kMaxBurst> rng_seed{};
   std::array<ServiceOutcome, kMaxBurst> outcomes{};
@@ -108,12 +106,11 @@ class Service {
                                  NanoTime now, Rng& rng) = 0;
 
   /// Processes `burst.count` packets, writing one outcome per lane
-  /// entry. `flow_affine` is the burst-wide hint; the per-packet lane
-  /// wins. The default implementation loops the scalar process() (with
-  /// a per-packet Rng when the seed lane is set), so services migrate
-  /// to batched implementations incrementally.
-  virtual void process_burst(PacketBurst& burst, CoreId core,
-                             bool flow_affine, NanoTime now, Rng& rng);
+  /// entry: process() in index order, with a per-packet Rng when the
+  /// seed lane is set. `flow_affine` is the burst-wide hint, OR-ed with
+  /// the per-packet lane.
+  void process_burst(PacketBurst& burst, CoreId core, bool flow_affine,
+                     NanoTime now, Rng& rng);
 };
 
 struct ServiceProfile {

@@ -28,31 +28,6 @@ class BaseVpcService : public Service {
     return out;
   }
 
-  /// Batched override: stage-split over the SoA lanes — the cost model
-  /// walks the dense metadata lanes for the whole burst first, then the
-  /// functional forward chain runs per packet. Outcome-identical to the
-  /// scalar loop because the cost stage draws only from the per-packet
-  /// rng stream and the forward stage draws nothing.
-  void process_burst(PacketBurst& burst, CoreId core, bool flow_affine,
-                     NanoTime now, Rng& rng) override {
-    for (std::size_t i = 0; i < burst.count; ++i) {
-      if (burst.rng_seed[i] == 0) {
-        // Unseeded lanes share one rng: stage-splitting would reorder
-        // its draws, so fall back to the sequential default.
-        Service::process_burst(burst, core, flow_affine, now, rng);
-        return;
-      }
-    }
-    for (std::size_t i = 0; i < burst.count; ++i) {
-      Rng pkt_rng(burst.rng_seed[i]);
-      burst.outcomes[i].cpu_ns =
-          cost_model(burst.flow_affine[i] || flow_affine, pkt_rng);
-    }
-    for (std::size_t i = 0; i < burst.count; ++i) {
-      burst.outcomes[i].action = forward(*burst.pkts[i], core, now);
-    }
-  }
-
  protected:
   /// Service-specific functional chain; returns drop/forward.
   virtual ServiceAction forward(Packet& pkt, CoreId core, NanoTime now) = 0;

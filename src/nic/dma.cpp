@@ -23,12 +23,4 @@ NanoTime DmaChannel::transfer(NanoTime now, std::size_t bytes) {
   return channel_free_ + cfg_.base_latency;
 }
 
-void DmaChannel::transfer_burst(std::span<const NanoTime> times,
-                                std::span<const std::size_t> sizes,
-                                std::span<NanoTime> out) {
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    out[i] = transfer(times[i], sizes[i]);
-  }
-}
-
 }  // namespace albatross

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "common/types.hpp"
 
@@ -38,13 +37,6 @@ class DmaChannel {
   /// Schedules a transfer of `bytes` submitted at `now`; returns its
   /// completion time. Transfers serialise on the channel.
   NanoTime transfer(NanoTime now, std::size_t bytes);
-
-  /// Burst submission: transfers[i] of sizes[i] submitted at times[i],
-  /// completion written to out[i]. Identical to sequential transfer()
-  /// calls in index order (the channel serialises either way).
-  void transfer_burst(std::span<const NanoTime> times,
-                      std::span<const std::size_t> sizes,
-                      std::span<NanoTime> out);
 
   [[nodiscard]] const DmaStats& stats() const { return stats_; }
   [[nodiscard]] const DmaConfig& config() const { return cfg_; }

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "dpu/dpu_tier.hpp"
@@ -125,35 +124,18 @@ class NicPipeline {
   /// Full ingress processing of one packet arriving at `now`.
   IngressResult ingress(PacketPtr pkt, PodId pod, NanoTime now);
 
-  /// Largest burst ingress_burst() accepts per call.
-  static constexpr std::size_t kMaxIngressBurst = 32;
-
-  /// Burst ingress: runs pkts[i] (arriving at arrivals[i]) through the
-  /// pipeline stage by stage — parse/classify, GOP admit, offload fast
-  /// path, dispatch, split, RX DMA — each stage walking the whole burst
-  /// before the next starts, the way the FPGA modules overlap packets.
-  /// Results are positional and bit-identical to sequential ingress()
-  /// calls in index order (stages touch disjoint state). Arrival times
-  /// must be non-decreasing; at most kMaxIngressBurst packets.
-  void ingress_burst(std::span<PacketPtr> pkts,
-                     std::span<const NanoTime> arrivals, PodId pod,
-                     std::span<IngressResult> out);
-
   /// Host TX submission: returns the time the packet reaches the FPGA
-  /// (TX DMA completion). The caller schedules egress() at that time.
+  /// (TX DMA completion). The caller schedules egress_into() at that time.
   NanoTime tx_submit(PodId pod, NanoTime now, std::size_t bytes);
 
   /// Egress processing at the FPGA: reorder write-back for PLB packets,
-  /// straight-through for RSS/priority. Emissions carry wire times.
-  std::vector<EgressEmission> egress(PacketPtr pkt, PodId pod, NanoTime now);
-  /// Allocation-free variant for the per-packet hot path: appends to a
-  /// caller-owned (typically reused) vector instead of returning one.
+  /// straight-through for RSS/priority. Emissions carry wire times and
+  /// are appended to a caller-owned (typically reused) vector, so the
+  /// per-packet TX path never allocates.
   void egress_into(PacketPtr pkt, PodId pod, NanoTime now,
                    std::vector<EgressEmission>& out);
 
-  /// Timeout-driven reorder drain for a pod.
-  std::vector<EgressEmission> drain_expired(PodId pod, NanoTime now);
-  /// Allocation-free variant of drain_expired (see egress_into).
+  /// Timeout-driven reorder drain for a pod; appends like egress_into.
   void drain_expired_into(PodId pod, NanoTime now,
                           std::vector<EgressEmission>& out);
   [[nodiscard]] std::optional<NanoTime> next_reorder_deadline(PodId pod) const;

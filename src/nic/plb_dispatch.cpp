@@ -42,14 +42,6 @@ std::optional<PlbDispatchResult> PlbEngine::dispatch(Packet& pkt,
   return r;
 }
 
-void PlbEngine::dispatch_burst(std::span<Packet* const> pkts,
-                               std::span<const NanoTime> times,
-                               std::span<std::optional<PlbDispatchResult>> out) {
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    out[i] = dispatch(*pkts[i], times[i]);
-  }
-}
-
 void PlbEngine::writeback(PacketPtr pkt, NanoTime now,
                           std::vector<ReorderEgress>& out) {
   PlbMeta meta;

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -46,13 +45,6 @@ class PlbEngine {
   /// the RX queue. nullopt = reorder FIFO full, packet dropped at
   /// ingress (caller keeps ownership to free/count it).
   std::optional<PlbDispatchResult> dispatch(Packet& pkt, NanoTime now);
-
-  /// Burst ingress: dispatches packets[i] at times[i], writing the
-  /// result positionally into `out`. PSNs are assigned in index order,
-  /// exactly as sequential dispatch() calls would.
-  void dispatch_burst(std::span<Packet* const> pkts,
-                      std::span<const NanoTime> times,
-                      std::span<std::optional<PlbDispatchResult>> out);
 
   /// Egress: write-back of a CPU-processed packet (meta still attached;
   /// this strips it). Emissions (best-effort or in-order after drain)

@@ -1,9 +1,10 @@
-// Burst-size differential: the batched hot path (PacketRing bursts,
-// Service::process_burst, the pod burst run loop) is a performance
-// refactor and must be behaviourally invisible. For each seeded trace we
-// run the identical op list at rx_burst=1 (legacy per-packet activation)
-// and rx_burst=32 and require the full packet-conservation ledgers,
-// verdicts, and violation counts to match field-for-field
+// Burst-size invariance: there is one datapath, and the batch size only
+// decides how many packets one event-loop activation handles (the ingress
+// pump batch, PacketRing bursts and the pod burst run loop feeding
+// Service::process_burst). It must be behaviourally invisible. For each
+// seeded trace we run the identical op list at rx_burst=1 (one activation
+// per packet) and rx_burst=32 and require the full packet-conservation
+// ledgers, verdicts, and violation counts to match field-for-field
 // (docs/BURST_API.md). 100+ seeds across chaos modes so a batching bug
 // that only shows under faults (partial bursts, mid-burst stalls) still
 // trips the diff.

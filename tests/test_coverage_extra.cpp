@@ -10,7 +10,6 @@
 #include "core/scenario.hpp"
 #include "nic/nic_pipeline.hpp"
 #include "nic/session_offload.hpp"
-#include "packet/mbuf_pool.hpp"
 #include "traffic/heavy_hitter.hpp"
 
 namespace albatross {
@@ -123,7 +122,8 @@ TEST(NicPipeline, DrainExpiredReleasesStrandedEntries) {
   ASSERT_TRUE(nic.next_reorder_deadline(0).has_value());
   // The packet vanishes on the CPU (never written back). After the
   // deadline the drain releases the head with no emission.
-  const auto out = nic.drain_expired(0, 200 * kMicrosecond);
+  std::vector<EgressEmission> out;
+  nic.drain_expired_into(0, 200 * kMicrosecond, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(nic.engine(0).total_stats().timeout_releases, 1u);
   EXPECT_FALSE(nic.next_reorder_deadline(0).has_value());
@@ -216,17 +216,6 @@ TEST(TrafficMux, EmptyAndExhaustedSources) {
   }
   EXPECT_NEAR(static_cast<double>(n), 10, 2);
   EXPECT_FALSE(mux.next_time().has_value());
-}
-
-TEST(MbufPool, CacheOverflowFlushesToRing) {
-  MbufPool pool({.capacity = 64, .per_core_cache = 4, .num_cores = 1});
-  // Drain 32 mbufs, then free them all back: the per-core cache (4)
-  // must overflow and flush to the shared ring without losing any.
-  std::vector<Packet*> taken;
-  for (int i = 0; i < 32; ++i) taken.push_back(pool.alloc(CoreId{0}));
-  for (auto* p : taken) pool.free_(p, CoreId{0});
-  EXPECT_EQ(pool.available(), 64u);
-  EXPECT_EQ(pool.stats().frees, 32u);
 }
 
 TEST(PlbEngineExtra, DrainAllCoversEveryQueue) {

@@ -1,8 +1,7 @@
-// Packet buffer, header (de)serialisation, parser and mbuf-pool tests.
+// Packet buffer, header (de)serialisation and parser tests.
 #include <gtest/gtest.h>
 
 #include "packet/headers.hpp"
-#include "packet/mbuf_pool.hpp"
 #include "packet/packet.hpp"
 #include "packet/parser.hpp"
 
@@ -244,43 +243,6 @@ TEST(Parser, AnnotateFillsMetadata) {
   ASSERT_TRUE(parse_and_annotate(*pkt).has_value());
   EXPECT_EQ(pkt->vni, 99u);
   EXPECT_EQ(pkt->tuple, spec.inner.tuple);
-}
-
-TEST(MbufPool, AllocFreeCycle) {
-  MbufPool pool({.capacity = 64, .per_core_cache = 8, .num_cores = 2});
-  std::vector<Packet*> taken;
-  for (int i = 0; i < 64; ++i) {
-    Packet* p = pool.alloc(CoreId{0});
-    ASSERT_NE(p, nullptr);
-    taken.push_back(p);
-  }
-  EXPECT_EQ(pool.alloc(CoreId{0}), nullptr);  // exhausted
-  EXPECT_EQ(pool.stats().alloc_failures, 1u);
-  for (auto* p : taken) pool.free_(p, CoreId{0});
-  EXPECT_EQ(pool.available(), 64u);
-  EXPECT_NE(pool.alloc(CoreId{1}), nullptr);
-}
-
-TEST(MbufPool, CacheHitsAreCheaper) {
-  MbufPool pool({.capacity = 256, .per_core_cache = 32, .num_cores = 1});
-  Packet* p = pool.alloc(CoreId{0});  // first alloc: ring refill
-  const NanoTime refill_cost = pool.last_alloc_cost();
-  pool.free_(p, CoreId{0});
-  p = pool.alloc(CoreId{0});  // now cached
-  const NanoTime hit_cost = pool.last_alloc_cost();
-  pool.free_(p, CoreId{0});
-  EXPECT_LT(hit_cost, refill_cost);
-  EXPECT_GE(pool.stats().cache_hits, 1u);
-}
-
-TEST(MbufPool, PoolGuardReturnsOnScopeExit) {
-  MbufPool pool({.capacity = 4, .per_core_cache = 2, .num_cores = 1});
-  {
-    PoolGuard g(pool, pool.alloc(CoreId{0}), CoreId{0});
-    EXPECT_NE(g.get(), nullptr);
-    EXPECT_EQ(pool.available(), 3u);
-  }
-  EXPECT_EQ(pool.available(), 4u);
 }
 
 TEST(Parser, GeneveOverlayRoundTrip) {

@@ -206,5 +206,47 @@ TEST(Platform, ResetTelemetryClearsCounters) {
   EXPECT_EQ(s.platform->telemetry(s.pod).wire_latency.count(), 0u);
 }
 
+TEST(Platform, OfflinePodBlackholesFullPumpBatches) {
+  auto s = SinglePodScenario::make(ServiceKind::kVpcVpc, 8, LbMode::kPlb);
+  // 10 Mpps with deterministic 100 ns spacing: 32 arrivals span 3.1 us,
+  // inside the 4 us batch window, so every pump draws a full batch.
+  PoissonFlowConfig cfg;
+  cfg.num_flows = 2000;
+  cfg.tenants = 50;
+  cfg.rate_pps = 10e6;
+  cfg.poisson = false;
+  s.platform->attach_source(std::make_unique<PoissonFlowSource>(cfg), s.pod);
+  s.platform->run_until(1 * kMillisecond);
+  ASSERT_GT(s.platform->telemetry(s.pod).delivered, 0u);
+
+  // The pod dies with traffic still aimed at it. Let the packets already
+  // inside the NIC and the pod drain, then count only the offline phase.
+  s.platform->set_pod_offline(s.pod, true);
+  s.platform->run_until(2 * kMillisecond);
+  s.platform->reset_telemetry();
+  const std::uint64_t events_before = s.platform->loop().events_processed();
+  s.platform->run_until(4 * kMillisecond);
+  const std::uint64_t pumps =
+      s.platform->loop().events_processed() - events_before;
+
+  const auto& t = s.platform->telemetry(s.pod);
+  EXPECT_EQ(t.offered, 20'000u);
+  EXPECT_EQ(pumps * Platform::kMaxIngressBurst, t.offered);  // full batches
+  EXPECT_EQ(t.blackholed, t.offered);
+  EXPECT_EQ(t.delivered, 0u);
+  EXPECT_EQ(t.dropped_rate_limit, 0u);
+  EXPECT_EQ(t.dropped_reorder_full, 0u);
+  std::uint64_t tenant_offered = 0;
+  for (Vni vni = 1; vni <= cfg.tenants; ++vni) {
+    const TenantCounters& tc = s.platform->tenant(vni);
+    EXPECT_GT(tc.offered, 0u) << "vni " << vni;
+    EXPECT_EQ(tc.dropped_other, tc.offered) << "vni " << vni;
+    EXPECT_EQ(tc.delivered, 0u) << "vni " << vni;
+    EXPECT_EQ(tc.dropped_rate_limit, 0u) << "vni " << vni;
+    tenant_offered += tc.offered;
+  }
+  EXPECT_EQ(tenant_offered, t.offered);
+}
+
 }  // namespace
 }  // namespace albatross
