@@ -43,13 +43,16 @@ PodId Platform::create_pod(const GwPodConfig& pod_cfg,
       });
   pod->set_egress([this, id](PacketPtr pkt, NanoTime submit) {
     const NanoTime at_fpga = nic_.tx_submit(id, submit, pkt->size());
-    Packet* p = pkt.release();
-    loop_.schedule_at(at_fpga, [this, id, p, at_fpga] {
+    // The event owns the packet: a loop destroyed with it pending
+    // frees it.
+    auto egress = [this, id, pkt = std::move(pkt), at_fpga]() mutable {
       egress_scratch_.clear();
-      nic_.egress_into(PacketPtr(p), id, at_fpga, egress_scratch_);
+      nic_.egress_into(std::move(pkt), id, at_fpga, egress_scratch_);
       handle_emissions(egress_scratch_, id);
       arm_reorder_timer(id);
-    });
+    };
+    static_assert(InlineAction::kStoredInline<decltype(egress)>);
+    loop_.schedule_at(at_fpga, std::move(egress));
   });
   pods_.push_back(std::move(pod));
   telemetry_.emplace_back();
@@ -155,12 +158,13 @@ void Platform::handle_ingress(PacketPtr pkt, PodId pod, NanoTime now) {
   }
   arm_reorder_timer(pod);
 
-  Packet* raw = r.pkt.release();
   const std::uint16_t q = r.rx_queue;
   const NanoTime at = r.deliver_time;
-  loop_.schedule_at(at, [this, raw, pod, q, at] {
-    pods_[pod]->deliver(PacketPtr(raw), q, at);
-  });
+  auto deliver = [this, pkt = std::move(r.pkt), pod, q, at]() mutable {
+    pods_[pod]->deliver(std::move(pkt), q, at);
+  };
+  static_assert(InlineAction::kStoredInline<decltype(deliver)>);
+  loop_.schedule_at(at, std::move(deliver));
 }
 
 void Platform::handle_emissions(std::vector<EgressEmission>& emissions,

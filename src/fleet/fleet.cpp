@@ -1,7 +1,10 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <sstream>
+#include <thread>
 
 #include "common/hash.hpp"
 #include "container/cost_model.hpp"
@@ -28,14 +31,52 @@ FleetEngine::FleetEngine(FleetSpec spec)
     : spec_(std::move(spec)),
       population_(spec_.tenants, spec_.tenant_zipf_alpha, spec_.seed,
                   spec_.total_gateways(), spec_.hot_tenants_per_gateway) {
-  azs_.reserve(spec_.azs.size());
-  for (std::size_t i = 0; i < spec_.azs.size(); ++i) build_az(i);
+  azs_.resize(spec_.azs.size());
+  for_each_az([this](std::size_t i) { build_az(i); });
   schedule_faults();
   if (spec_.upgrade.enabled) schedule_upgrades();
 }
 
+void FleetEngine::for_each_az(const std::function<void(std::size_t)>& fn) {
+  // Shared-state audit this relies on: spec_ and population_ are
+  // read-only; upgrades_ is sized before run() and each record is
+  // written only by its own AZ's events; schedule_faults() and
+  // schedule_upgrades() run on the caller after the build; PacketBuf's
+  // pool is thread_local, and src/ holds no other mutable static (the
+  // albatross-lint shared-static rule keeps it that way).
+  const std::size_t n = azs_.size();
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min<std::size_t>(n, std::thread::hardware_concurrency()));
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(n);
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) {
+    try {
+      threads.emplace_back(work);
+    } catch (...) {
+      break;  // no thread to spare: the running workers drain every AZ
+    }
+  }
+  work();  // the caller is worker 0
+  for (auto& t : threads) t.join();
+  // The lowest failing AZ's error, as the sequential build would report.
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
 void FleetEngine::build_az(std::size_t i) {
-  AzRuntime az;
+  AzRuntime& az = azs_[i];
   az.az_spec = spec_.azs[i];
   az.gateway_base = spec_.az_gateway_base(i);
   DiurnalConfig curve_cfg = spec_.diurnal;
@@ -100,7 +141,6 @@ void FleetEngine::build_az(std::size_t i) {
   az.controller->arm();
   az.injector =
       std::make_unique<FaultInjector>(az.harness->loop(), *az.harness);
-  azs_.push_back(std::move(az));
 }
 
 void FleetEngine::schedule_faults() {
@@ -174,15 +214,14 @@ void FleetEngine::apply_diurnal(AzRuntime& az, NanoTime t) {
 }
 
 void FleetEngine::run() {
-  // Lockstep diurnal slices. AZs exchange no traffic, so advancing them
-  // one after another inside each slice preserves determinism while
-  // keeping all AZ clocks within one tick of each other.
+  for_each_az([this](std::size_t i) { run_az(azs_[i]); });
+  ran_ = true;
+}
+
+void FleetEngine::run_az(AzRuntime& az) {
   for (NanoTime t = NanoTime{0}; t < spec_.horizon; t += spec_.tick) {
-    const NanoTime slice_end = std::min(t + spec_.tick, spec_.horizon);
-    for (auto& az : azs_) {
-      apply_diurnal(az, t);
-      az.harness->platform().run_until(slice_end);
-    }
+    apply_diurnal(az, t);
+    az.harness->platform().run_until(std::min(t + spec_.tick, spec_.horizon));
   }
 
   // Drain: quiesce every source (rate 0 parks the pump permanently —
@@ -190,14 +229,10 @@ void FleetEngine::run() {
   // so the conservation ledger balances. BFD timers keep the loop
   // pending forever, hence check_ledger_now instead of finish()'s
   // quiesce-gated path.
-  const NanoTime drain_end = spec_.horizon + spec_.drain;
-  for (auto& az : azs_) {
-    for (auto* src : az.sources) src->set_rate(0.0);
-    az.harness->platform().run_until(drain_end);
-    az.conformance->finish();  // reorder-leak checks (ledger skipped)
-    az.ledger_violations = az.conformance->check_ledger_now();
-  }
-  ran_ = true;
+  for (auto* src : az.sources) src->set_rate(0.0);
+  az.harness->platform().run_until(spec_.horizon + spec_.drain);
+  az.conformance->finish();  // reorder-leak checks (ledger skipped)
+  az.ledger_violations = az.conformance->check_ledger_now();
 }
 
 FleetResult FleetEngine::collect() const {

@@ -6,9 +6,17 @@
 //
 //  - a TenantPopulation hash-shards millions of Zipf-weighted tenants
 //    across every gateway, sizing each pod's offered rate and flow mix;
-//  - a DiurnalCurve modulates per-AZ load in lockstep slices (AZs are
-//    traffic-independent, so running them slice-by-slice in AZ order is
-//    deterministic and byte-identical across same-seed runs);
+//  - a DiurnalCurve modulates per-AZ load in diurnal slices;
+//  - AZ workers: AZs exchange no traffic (the AZ is the blast-radius
+//    unit), so each AZ is built and then run — every slice, its drain
+//    and its ledger check — on its own worker thread, up to
+//    min(AZ count, hardware threads) at once. An AZ sees exactly the
+//    call sequence a sequential engine would give it, owns all of its
+//    state, and the results are read in AZ order after every worker
+//    joins, so the report and SLO JSON are byte-identical for any
+//    thread count. The busiest AZ bounds the speed-up: with enough
+//    cores it is at most (AZ count) / (busiest AZ's loop events over
+//    the per-AZ mean) — perfbench's fleet.az_event_imbalance;
 //  - a rolling upgrade wave redeploys gateways through the
 //    orchestrator's make-before-break scale_up path — a healthy wave
 //    must cost zero blackhole, and the SLO report proves it;
@@ -21,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,13 +91,18 @@ struct FleetResult {
 
 class FleetEngine {
  public:
+  /// Builds every AZ, one worker per AZ, then schedules faults and the
+  /// upgrade wave. Throws the lowest failing AZ's error (e.g. "chaos
+  /// harness: no capacity" when its servers cannot host its gateways).
   explicit FleetEngine(FleetSpec spec);
 
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
 
-  /// Executes the scenario: lockstep diurnal slices over `horizon`,
-  /// then a source-quiesced drain window and the conservation ledger.
+  /// Executes the scenario, one worker per AZ: diurnal slices over
+  /// `horizon`, then a source-quiesced drain window and the
+  /// conservation ledger. Rethrows the lowest failing AZ's exception
+  /// once every worker has joined.
   void run();
 
   /// Aggregates per-AZ results and builds the SLO report. Valid after
@@ -123,7 +137,13 @@ class FleetEngine {
     std::uint64_t ledger_violations = 0;
   };
 
+  /// Runs fn(i) for every AZ index on min(AZ count, hardware threads)
+  /// workers (the caller is one of them) pulling indices from a shared
+  /// counter. Exceptions are held per AZ; after all workers join, the
+  /// lowest-index one is rethrown on the caller.
+  void for_each_az(const std::function<void(std::size_t)>& fn);
   void build_az(std::size_t i);
+  void run_az(AzRuntime& az);
   void schedule_faults();
   void schedule_upgrades();
   void apply_diurnal(AzRuntime& az, NanoTime t);

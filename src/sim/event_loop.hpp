@@ -40,14 +40,20 @@ class InlineAction {
 
   InlineAction() = default;
 
+  /// True when a callable of type Fn is stored inside the node (no
+  /// allocation); hot-path call sites static_assert it.
+  template <typename Fn>
+  static constexpr bool kStoredInline =
+      sizeof(Fn) <= kInlineBytes &&
+      alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
+
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineAction>>>
   InlineAction(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kStoredInline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
     } else {

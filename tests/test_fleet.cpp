@@ -2,10 +2,15 @@
 // million-tenant population sharding, the LogHistogram / weighted-
 // quantile percentile edges the SLO report depends on, fault scoping,
 // and the end-to-end smoke scenario (determinism, conservation, the
-// failover envelope and the zero-blackhole upgrade wave).
+// failover envelope and the zero-blackhole upgrade wave), and the AZ
+// workers' contract: output byte-identical to the sequential engine's
+// goldens, and an AZ's build error surfacing on the caller.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -455,6 +460,50 @@ TEST(FleetEngine, MetricsRegistryExportsFleetAggregates) {
   EXPECT_NE(text.find("fleet_packets_lost"), std::string::npos);
   EXPECT_NE(text.find("az-a"), std::string::npos);
   EXPECT_NE(text.find("az-b"), std::string::npos);
+}
+
+// --- AZ workers: thread-count-invariant output, error propagation -------
+
+std::string read_golden(const std::string& file) {
+  std::ifstream in(std::string(ALBATROSS_FLEET_GOLDEN_DIR) + "/" + file);
+  EXPECT_TRUE(in.good()) << "missing golden " << file;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// tests/fleet_golden/<name>.report.txt and .slo.json were written by the
+// sequential engine (AZs built and run one after another on one thread)
+// via `albatross_sim fleet --scenario <name>.json --out <name>.slo.json`.
+// ci_smoke is the CI fleet-smoke spec; three_az_uneven has AZs of 1, 6
+// and 3 gateways, so its workers finish out of AZ order.
+TEST(FleetEngine, ReportAndSloMatchSequentialGoldens) {
+  for (const std::string name : {"ci_smoke", "three_az_uneven"}) {
+    SCOPED_TRACE(name);
+    const fleet::FleetSpec spec =
+        fleet::FleetSpec::from_json_text(read_golden(name + ".json"));
+    const fleet::FleetResult result = fleet::run_fleet(spec);
+    EXPECT_EQ(result.report_text(), read_golden(name + ".report.txt"));
+    EXPECT_EQ(result.slo.to_json().dump() + "\n",
+              read_golden(name + ".slo.json"));
+  }
+}
+
+TEST(FleetEngine, AzBuildErrorReachesTheCaller) {
+  // One server holds 16 six-core gateway pods (2 NUMA nodes x 48
+  // cores), so the second AZ's 17th gateway finds no capacity: its
+  // worker throws, and the constructor must rethrow that error on the
+  // caller (a throw escaping a worker thread would std::terminate).
+  fleet::FleetSpec spec = fleet::FleetSpec::smoke();
+  spec.azs[1].gateways_per_set = 17;
+  spec.azs[1].servers = 1;
+  try {
+    fleet::FleetEngine engine(spec);
+    ADD_FAILURE() << "an AZ without capacity was built";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no capacity"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- shrunk-trace replay bridge ------------------------------------------

@@ -241,9 +241,48 @@ TEST(Lint, UnorderedIterationCoversDpuAndFleet) {
                     "unordered-iteration"));
 }
 
+TEST(Lint, SharedStaticFires) {
+  const auto f = lint_source(
+      "src/fleet/fleet.cpp",
+      "static std::uint64_t seen = 0;\n"
+      "static std::vector<const char*>\n"
+      "    names;\n"
+      "struct Registry { static inline int instances = 0; };\n"
+      "std::uint64_t next_id() {\n"
+      "  static std::uint64_t counter{0};\n"
+      "  return ++counter;\n"
+      "}\n");
+  ASSERT_EQ(f.size(), 4u);
+  EXPECT_TRUE(fired(f, "shared-static"));
+  EXPECT_EQ(f[0].line, 1);
+  EXPECT_EQ(f[1].line, 2);  // reported where the declaration starts
+  EXPECT_EQ(f[2].line, 4);
+  EXPECT_EQ(f[3].line, 6);
+}
+
+TEST(Lint, SharedStaticAcceptsImmutablePerThreadAndFunctions) {
+  const auto f = lint_source(
+      "src/packet/packet.cpp",
+      "static constexpr std::size_t kSlots = 64;\n"
+      "static const std::regex re(\"x\");\n"
+      "const static int kAlso = 1;\n"
+      "template <typename Fn> static constexpr Ops ops = {};\n"
+      "struct Pool {\n"
+      "  static Pool& local();\n"
+      "  static std::function<void(int)> make(int n);\n"
+      "};\n"
+      "Pool& Pool::local() { static thread_local Pool pool; return pool; }\n"
+      "static int wrap(int i) { return static_cast<int>(i % 64); }\n"
+      "static_assert(sizeof(int) == 4);\n"
+      "// a static counter in prose is fine\n");
+  EXPECT_TRUE(f.empty()) << (f.empty() ? "" : f[0].message);
+}
+
 TEST(Lint, RuleNamesStable) {
   const auto& names = rule_names();
-  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(names.size(), 11u);
+  EXPECT_TRUE(std::find(names.begin(), names.end(), "shared-static") !=
+              names.end());
   EXPECT_TRUE(std::find(names.begin(), names.end(), "scalar-hot-path") !=
               names.end());
   EXPECT_TRUE(std::find(names.begin(), names.end(), "wall-clock") !=

@@ -366,6 +366,61 @@ void rule_header_hygiene(const RuleContext& ctx, Sink& sink) {
   }
 }
 
+// --- shared-static ---------------------------------------------------------
+
+/// Line number (1-based) of byte offset `pos` in `text`.
+int line_of(const std::string& text, std::size_t pos) {
+  return 1 + static_cast<int>(std::count(
+                 text.begin(), text.begin() + static_cast<std::ptrdiff_t>(pos),
+                 '\n'));
+}
+
+void rule_shared_static(const RuleContext& ctx, Sink& sink) {
+  // FleetEngine runs every AZ on its own worker thread, so a mutable
+  // `static` (namespace scope, function-local or class member) is state
+  // two AZs would race on. const / constexpr statics are immutable and
+  // thread_local ones are per worker. A declaration is read from
+  // `static` to the first `(`, `;`, `=` or `{` outside template angle
+  // brackets: `(` first means a function (a direct-initialised
+  // `static T x(args);` reads as one too, so spell such a variable
+  // with `=` or braces). The const check ignores template arguments, so
+  // `static std::vector<const char*> v;` still fires.
+  static const std::regex static_re(R"(\bstatic\b)");
+  static const std::regex exempt_re(R"(\b(const|constexpr|thread_local)\b)");
+  const std::string& text = ctx.stripped;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), static_re);
+       it != std::sregex_iterator(); ++it) {
+    const auto start = static_cast<std::size_t>(it->position());
+    // Specifiers before `static` on the same statement (`const static`).
+    std::size_t stmt = text.find_last_of(";{}", start);
+    stmt = stmt == std::string::npos ? 0 : stmt + 1;
+    std::string top_level = text.substr(stmt, start - stmt);
+    int angle = 0;
+    char terminator = '\0';
+    for (std::size_t i = start; i < text.size(); ++i) {
+      const char c = text[i];
+      if (c == '<') {
+        ++angle;
+      } else if (c == '>' && angle > 0) {
+        --angle;
+      } else if (angle == 0) {
+        if (c == '(' || c == ';' || c == '=' || c == '{') {
+          terminator = c;
+          break;
+        }
+        top_level += c;
+      }
+    }
+    if (terminator == '(' || terminator == '\0') continue;
+    if (std::regex_search(top_level, exempt_re)) continue;
+    sink.report(line_of(text, start), "shared-static",
+                "mutable static variable: FleetEngine runs AZs on "
+                "parallel workers, so this state would be shared between "
+                "them; make it const/constexpr, thread_local, or a member "
+                "of the object that owns it");
+  }
+}
+
 // --- fpga-* resource-budget rules ------------------------------------------
 //
 // Grammar: `// fpga: lut=<N>, bram_bits=<M>, cycles=<K>` on the class
@@ -704,6 +759,7 @@ const std::vector<std::string>& rule_names() {
       "scalar-hot-path",    "header-hygiene",
       "fpga-missing-annotation", "fpga-budget-overflow",
       "fpga-timing-closure", "fpga-stale-annotation",
+      "shared-static",
   };
   return kNames;
 }
@@ -734,6 +790,7 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view text,
   rule_naked_time_literal(ctx, sink);
   rule_scalar_hot_path(ctx, sink);
   rule_header_hygiene(ctx, sink);
+  rule_shared_static(ctx, sink);
   rule_fpga(ctx, sink, config);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {

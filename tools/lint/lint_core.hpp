@@ -24,6 +24,10 @@
 //                         (docs/BURST_API.md).
 //   header-hygiene        headers carry #pragma once and never
 //                         `using namespace` at file scope.
+//   shared-static         no `static` variable (namespace scope,
+//                         function-local or class member) that is not
+//                         const, constexpr or thread_local: fleet AZs
+//                         run on parallel workers and would race on it.
 //
 // Synthesis-feasibility rules (docs/STATIC_ANALYSIS.md, "Resource-budget
 // rules"): every FPGA-resident NIC module class in a src/nic header
