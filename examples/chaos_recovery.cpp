@@ -6,7 +6,7 @@
 //   build/examples/example_chaos_recovery
 #include <cstdio>
 
-#include "chaos/experiment.hpp"
+#include "chaos/recovery.hpp"
 
 using namespace albatross;
 
@@ -24,7 +24,6 @@ int main() {
   controller.arm();
 
   FaultPlan plan;
-  plan.name = "walkthrough";
   plan.events.push_back({2 * kSecond, FaultKind::kPodCrash, 0, NanoTime{0}, 0.0});
   plan.events.push_back(
       {8 * kSecond, FaultKind::kLinkFlap, 1, 500 * kMillisecond, 0.0});

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-
-#include "common/rng.hpp"
+#include <string>
 
 namespace albatross {
 
@@ -33,96 +32,6 @@ void FaultPlan::sort() {
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at < b.at;
                    });
-}
-
-FaultPlan FaultPlan::from_json(const JsonValue& v) {
-  FaultPlan plan;
-  plan.name = v.get_string("name", "chaos");
-  plan.seed = static_cast<std::uint64_t>(v.get_int("seed", 0));
-  for (const auto& ev : v["events"].as_array()) {
-    FaultEvent e;
-    e.at = millis_to_nanos(ev.get_number("at_ms", 0.0));
-    e.kind = fault_kind_from_name(ev.get_string("kind", "pod_crash"));
-    e.gateway = static_cast<std::uint16_t>(ev.get_int("gateway", 0));
-    e.duration = millis_to_nanos(ev.get_number("duration_ms", 0.0));
-    e.magnitude = ev.get_number("magnitude", 0.0);
-    plan.events.push_back(e);
-  }
-  plan.sort();
-  return plan;
-}
-
-JsonValue FaultPlan::to_json() const {
-  JsonArray evs;
-  for (const auto& e : events) {
-    JsonObject o;
-    o["at_ms"] = JsonValue(nanos_to_millis(e.at));
-    o["kind"] = JsonValue(std::string(fault_kind_name(e.kind)));
-    o["gateway"] = JsonValue(static_cast<std::int64_t>(e.gateway));
-    o["duration_ms"] = JsonValue(nanos_to_millis(e.duration));
-    o["magnitude"] = JsonValue(e.magnitude);
-    evs.emplace_back(std::move(o));
-  }
-  JsonObject root;
-  root["name"] = JsonValue(name);
-  root["seed"] = JsonValue(static_cast<std::int64_t>(seed));
-  root["events"] = JsonValue(std::move(evs));
-  return JsonValue(std::move(root));
-}
-
-FaultPlan FaultPlan::random(std::uint64_t seed, std::size_t count,
-                            std::size_t gateways, NanoTime horizon,
-                            NanoTime t_min) {
-  FaultPlan plan;
-  plan.name = "random";
-  plan.seed = seed;
-  Rng rng(seed);
-  if (gateways == 0) gateways = 1;
-  if (horizon <= t_min) horizon = t_min + kSecond;
-  for (std::size_t i = 0; i < count; ++i) {
-    FaultEvent e;
-    e.at = t_min + Nanos{static_cast<std::int64_t>(rng.next_below(
-                       static_cast<std::uint64_t>((horizon - t_min).count())))};
-    e.kind = static_cast<FaultKind>(rng.next_below(kFaultKindCount));
-    e.gateway = static_cast<std::uint16_t>(rng.next_below(gateways));
-    switch (e.kind) {
-      case FaultKind::kPodCrash:
-        e.duration = NanoTime{};  // permanent until the controller redeploys
-        break;
-      case FaultKind::kCoreStall:
-        e.duration = rng.next_range(1, 20) * kMillisecond;
-        e.magnitude = static_cast<double>(rng.next_range(1, 4));
-        break;
-      case FaultKind::kNicReorderStuck:
-        e.duration = rng.next_range(1, 5) * kMillisecond;
-        break;
-      case FaultKind::kNicDmaError:
-        e.duration = rng.next_range(5, 50) * kMillisecond;
-        e.magnitude = static_cast<double>(rng.next_range(4, 16));
-        break;
-      case FaultKind::kLinkFlap:
-        e.duration = rng.next_range(200, 2000) * kMillisecond;
-        break;
-      case FaultKind::kBgpReset:
-      case FaultKind::kBfdTimeout:
-        e.duration = rng.next_range(200, 1000) * kMillisecond;
-        break;
-      case FaultKind::kHitterStorm:
-        e.duration = rng.next_range(10, 100) * kMillisecond;
-        e.magnitude = 1e6 * static_cast<double>(rng.next_range(1, 4));
-        break;
-      case FaultKind::kDpuCoreStall:
-        e.duration = rng.next_range(1, 10) * kMillisecond;
-        e.magnitude = static_cast<double>(rng.next_below(8));  // core index
-        break;
-      case FaultKind::kTierTableFlush:
-        e.duration = NanoTime{};  // instantaneous wipe
-        break;
-    }
-    plan.events.push_back(e);
-  }
-  plan.sort();
-  return plan;
 }
 
 }  // namespace albatross

@@ -4,18 +4,15 @@
 // NIC module faults (reorder engine stuck / DMA degradation, §4.1),
 // link flap, BGP session reset and BFD false positives (§4.3), and a
 // heavy-hitter storm (§4.2) — as (time, kind, target, duration,
-// magnitude) tuples. Plans are JSON round-trippable so chaos
-// experiments live in version-controlled files, and seeded-random
-// plans make fuzz-style availability sweeps reproducible: the same
-// seed always yields the same incident timeline.
+// magnitude) tuples. Scenario files carry them as a fleet spec's
+// "faults" array (fleet/fleet_spec.hpp owns the JSON codec); a chaos
+// plan is a one-AZ fleet spec.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/types.hpp"
 
 namespace albatross {
@@ -47,29 +44,12 @@ struct FaultEvent {
   double magnitude = 0.0;     ///< kind-specific: slowdown, pps, core count
 };
 
-/// An ordered fault script. `seed` names the plan's provenance when it
-/// was generated randomly (0 = hand-written) and seeds nothing at run
-/// time — execution is already deterministic on the event loop.
+/// An ordered fault script.
 struct FaultPlan {
-  std::string name = "chaos";
-  std::uint64_t seed = 0;
   std::vector<FaultEvent> events;
 
   /// Sorts events by injection time (stable: script order breaks ties).
   void sort();
-
-  /// Parses {"name":..,"seed":..,"events":[{"at_ms":..,"kind":..,
-  /// "gateway":..,"duration_ms":..,"magnitude":..}]}. Throws
-  /// std::runtime_error on unknown kinds.
-  static FaultPlan from_json(const JsonValue& v);
-  [[nodiscard]] JsonValue to_json() const;
-
-  /// Seeded-random plan: `count` events over [t_min, horizon) against
-  /// `gateways` targets, drawn from every fault kind. Identical inputs
-  /// yield an identical plan.
-  static FaultPlan random(std::uint64_t seed, std::size_t count,
-                          std::size_t gateways, NanoTime horizon,
-                          NanoTime t_min = kSecond);
 };
 
 }  // namespace albatross

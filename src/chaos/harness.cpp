@@ -9,6 +9,10 @@ namespace albatross {
 
 GatewayChaosHarness::GatewayChaosHarness(ChaosHarnessConfig cfg)
     : cfg_(cfg), orch_(cfg.orch) {
+  // Every gateway pod has cfg_.data_cores cores and services index
+  // per-core conntrack by pod-local core, so partitions past that count
+  // would never be touched.
+  cfg_.platform.tables_data_cores = cfg_.data_cores;
   platform_ = std::make_unique<Platform>(cfg_.platform);
   uplink_ = std::make_unique<UplinkSwitch>(platform_->loop(), cfg_.uplink);
 

@@ -58,6 +58,8 @@ struct ChaosHarnessConfig {
   /// Production redundancy: two proxies per server (§5).
   bool dual_proxy = true;
   std::uint16_t servers = 2;
+  /// tables_data_cores is ignored: the harness sizes the conntrack
+  /// partitions to `data_cores`.
   PlatformConfig platform = chaos_platform_defaults();
   OrchestratorConfig orch = chaos_orch_defaults();
   BfdConfig bfd;

@@ -38,8 +38,9 @@ struct ExperimentResult {
   NanoTime duration = NanoTime{0};
 };
 
-/// Name -> enum helpers shared by every JSON loader (experiment and
-/// chaos configs). Throw std::runtime_error on unknown names.
+/// Name -> enum helpers shared by every loader of outside input: this
+/// config, the fleet spec and the CLI's --service/--mode flags. Throw
+/// std::runtime_error on unknown names.
 [[nodiscard]] ServiceKind service_from_name(const std::string& name);
 [[nodiscard]] LbMode mode_from_name(const std::string& name);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 
 #include "container/pod_spec.hpp"
 
@@ -18,6 +19,10 @@ Platform::Platform(PlatformConfig cfg)
 PodId Platform::create_pod(const GwPodConfig& pod_cfg,
                            std::uint16_t reorder_queues,
                            const PktDirConfig& dir, LbMode mode) {
+  // Every RX-queue and core index is taken modulo the core count.
+  if (pod_cfg.data_cores == 0) {
+    throw std::runtime_error("gateway pod needs at least one data core");
+  }
   const auto id = static_cast<PodId>(pods_.size());
   GwPodConfig cfg = pod_cfg;
   cfg.id = id;

@@ -89,7 +89,8 @@ class Platform {
   explicit Platform(PlatformConfig cfg = {});
 
   /// Creates a pod; its PLB engine geometry defaults from the spec
-  /// (reorder queues proportional to cores).
+  /// (reorder queues proportional to cores). Throws std::runtime_error
+  /// when the pod has no data cores.
   PodId create_pod(const GwPodConfig& pod_cfg,
                    std::uint16_t reorder_queues = 0,
                    const PktDirConfig& dir = {},

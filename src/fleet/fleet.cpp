@@ -148,7 +148,6 @@ void FleetEngine::schedule_faults() {
   // every zone, with the event's gateway read as an AZ-local index).
   for (std::size_t i = 0; i < azs_.size(); ++i) {
     FaultPlan plan;
-    plan.name = spec_.name + "/" + azs_[i].az_spec.name;
     for (const auto& f : spec_.faults) {
       if (f.az >= 0 && static_cast<std::size_t>(f.az) != i) continue;
       plan.events.push_back(f.event);
@@ -451,10 +450,6 @@ FleetResult run_fleet(const FleetSpec& spec) {
   return engine.collect();
 }
 
-check::FuzzReport run_fleet_trace(const check::FuzzTrace& trace) {
-  return check::run_trace(trace);
-}
-
 }  // namespace albatross::fleet
 
 namespace albatross {
@@ -462,41 +457,9 @@ namespace albatross {
 void register_fleet_metrics(MetricsRegistry& registry,
                             fleet::FleetEngine& engine) {
   for (std::size_t i = 0; i < engine.az_count(); ++i) {
-    const Labels labels{{"az", engine.spec().azs[i].name}};
-    auto& harness = engine.az_harness(i);
-    auto& controller = engine.az_controller(i);
-    registry.register_counter(
-        "fleet_incidents_opened", labels,
-        [&controller] {
-          return static_cast<double>(controller.incidents_opened());
-        },
-        "incidents opened in this AZ");
-    registry.register_counter(
-        "fleet_incidents_recovered", labels,
-        [&controller] {
-          return static_cast<double>(controller.incidents_recovered());
-        },
-        "incidents recovered in this AZ");
-    registry.register_counter(
-        "fleet_redeploys", labels,
-        [&harness] {
-          return static_cast<double>(harness.counters().redeploys);
-        },
-        "replacement pods deployed (crash recovery + planned upgrades)");
-    registry.register_counter(
-        "fleet_packets_lost", labels,
-        [&controller] {
-          return static_cast<double>(controller.packets_lost_total());
-        },
-        "packets blackholed inside incident windows");
-    registry.register_histogram(
-        "fleet_blackhole_ns", labels,
-        [&controller] { return &controller.blackhole_hist(); },
-        "per-incident blackhole duration");
-    registry.register_histogram(
-        "fleet_recovery_ns", labels,
-        [&controller] { return &controller.recovery_hist(); },
-        "per-incident total recovery duration");
+    register_chaos_metrics(registry, engine.az_controller(i),
+                           &engine.az_injector(i),
+                           {{"az", engine.spec().azs[i].name}});
   }
 }
 

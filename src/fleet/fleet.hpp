@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "chaos/recovery.hpp"
-#include "check/fuzz.hpp"
+#include "check/probes.hpp"
 #include "fleet/fleet_spec.hpp"
 #include "fleet/slo.hpp"
 #include "fleet/tenant_population.hpp"
@@ -118,6 +118,9 @@ class FleetEngine {
   RecoveryController& az_controller(std::size_t i) {
     return *azs_[i].controller;
   }
+  [[nodiscard]] const FaultInjector& az_injector(std::size_t i) const {
+    return *azs_[i].injector;
+  }
   [[nodiscard]] const check::ConformanceHarness& az_conformance(
       std::size_t i) const {
     return *azs_[i].conformance;
@@ -160,20 +163,15 @@ class FleetEngine {
 /// Runs a fleet scenario end to end (ctor + run + collect).
 FleetResult run_fleet(const FleetSpec& spec);
 
-/// Shrunk-trace replay bridge: `albatross_sim fleet --scenario x.json`
-/// accepts a conformance fuzz trace (detected by its "ops" array) and
-/// replays it through check::run_trace, so a scenario the fuzz driver
-/// shrank is directly re-runnable from the fleet CLI.
-check::FuzzReport run_fleet_trace(const check::FuzzTrace& trace);
-
 }  // namespace albatross::fleet
 
 namespace albatross {
 class MetricsRegistry;
 
-/// Wires fleet-level aggregates into a registry: per-AZ incident and
-/// packet counters, upgrade progress and the merged recovery
-/// histograms. The engine must outlive the registry's scrapes.
+/// Wires every AZ's chaos metrics (register_chaos_metrics: incident,
+/// redeploy, packet-loss and injected-fault counters plus the detect/
+/// blackhole/recovery histograms) into a registry, labelled
+/// {"az", name}. The engine must outlive the registry's scrapes.
 void register_fleet_metrics(MetricsRegistry& registry,
                             fleet::FleetEngine& engine);
 

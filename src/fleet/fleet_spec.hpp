@@ -1,11 +1,14 @@
-// Fleet scenario spec: the JSON-loadable description of a multi-AZ
-// gateway fleet run — the cluster-scale counterpart of the single-AZ
-// chaos experiment config. A spec names the availability zones (each a
-// GatewayChaosHarness: Platform + Orchestrator + uplink + BGP proxies),
-// the tenant population (millions of VNIs, Zipf-skewed over *tenants*),
-// the diurnal load curve, the rolling-upgrade wave and the fault
-// script. `albatross_sim fleet --scenario file.json` loads one of
-// these, runs the FleetEngine and prints the availability SLO report.
+// Fleet scenario spec: the JSON-loadable description of a gateway fleet
+// run, and the one schema for every gateway-harness scenario. A spec
+// names the availability zones (each a GatewayChaosHarness: Platform +
+// Orchestrator + uplink + BGP proxies), the tenant population (millions
+// of VNIs, Zipf-skewed over *tenants*), the diurnal load curve, the
+// rolling-upgrade wave and the fault script. `albatross_sim fleet
+// --scenario file.json` loads one of these, runs the FleetEngine and
+// prints the incident timelines and the availability SLO report. A
+// chaos plan is a one-AZ spec whose faults carry "az": 0 (see
+// tests/fleet_golden/one_az_crash.json); a flat diurnal curve
+// (trough = peak = 1) holds the offered load constant.
 //
 // Schema (everything optional; the "fleet" wrapper may be omitted):
 // {

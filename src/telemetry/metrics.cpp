@@ -227,40 +227,41 @@ void register_platform_metrics(MetricsRegistry& registry,
 
 void register_chaos_metrics(MetricsRegistry& registry,
                             const RecoveryController& controller,
-                            const FaultInjector* injector) {
+                            const FaultInjector* injector,
+                            const Labels& labels) {
   registry.register_counter(
-      "albatross_chaos_incidents_total", {},
+      "albatross_chaos_incidents_total", labels,
       [&controller] {
         return static_cast<double>(controller.incidents_opened());
       },
       "incidents opened by the recovery controller (BFD detections)");
   registry.register_counter(
-      "albatross_chaos_incidents_recovered", {}, [&controller] {
+      "albatross_chaos_incidents_recovered", labels, [&controller] {
         return static_cast<double>(controller.incidents_recovered());
       });
   registry.register_counter(
-      "albatross_chaos_redeploys_total", {},
+      "albatross_chaos_redeploys_total", labels,
       [&controller] { return static_cast<double>(controller.redeploys()); },
       "replacement pods deployed after crashes");
   registry.register_counter(
-      "albatross_chaos_packets_lost_total", {}, [&controller] {
+      "albatross_chaos_packets_lost_total", labels, [&controller] {
         return static_cast<double>(controller.packets_lost_total());
       });
   registry.register_histogram(
-      "albatross_chaos_detect_latency_ns", {},
+      "albatross_chaos_detect_latency_ns", labels,
       [&controller] { return &controller.detect_latency_hist(); },
       "fault injection to BFD detection");
   registry.register_histogram(
-      "albatross_chaos_blackhole_ns", {},
+      "albatross_chaos_blackhole_ns", labels,
       [&controller] { return &controller.blackhole_hist(); },
       "fault injection to upstream route withdrawal");
   registry.register_histogram(
-      "albatross_chaos_recovery_ns", {},
+      "albatross_chaos_recovery_ns", labels,
       [&controller] { return &controller.recovery_hist(); },
       "fault injection to traffic restored");
   if (injector != nullptr) {
     registry.register_counter(
-        "albatross_chaos_faults_injected", {},
+        "albatross_chaos_faults_injected", labels,
         [injector] { return static_cast<double>(injector->stats().applied); },
         "fault events applied by the injector");
   }

@@ -76,10 +76,12 @@ void register_platform_metrics(MetricsRegistry& registry, Platform& platform);
 
 /// Wires the chaos/recovery subsystem into a registry: incident
 /// counters, packets lost, and the detect/blackhole/recovery latency
-/// histograms (plus injector totals when given).
+/// histograms (plus injector totals when given), every series carrying
+/// `labels` (the fleet registers one set per AZ).
 void register_chaos_metrics(MetricsRegistry& registry,
                             const RecoveryController& controller,
-                            const FaultInjector* injector = nullptr);
+                            const FaultInjector* injector = nullptr,
+                            const Labels& labels = {});
 
 namespace check {
 class ConformanceHarness;  // forward; defined in check/probes.hpp

@@ -1,6 +1,7 @@
 #include "traffic/flow_gen.hpp"
 
 #include <limits>
+#include <stdexcept>
 
 #include "common/hash.hpp"
 #include "tables/vm_nc_map.hpp"
@@ -52,6 +53,10 @@ PoissonFlowSource::PoissonFlowSource(PoissonFlowConfig cfg,
       zipf_(flows.size(), cfg.zipf_alpha),
       flows_(std::move(flows)),
       next_(cfg.start) {
+  // The Zipf sampler has nothing to draw from an empty population.
+  if (flows_.empty()) {
+    throw std::runtime_error("traffic source needs at least one flow");
+  }
   cfg_.num_flows = flows_.size();
   advance();
 }

@@ -53,7 +53,8 @@ struct PoissonFlowConfig {
 };
 
 /// Background traffic: `num_flows` concurrent flows over `tenants`
-/// tenants; per-packet flow choice is Zipf-distributed.
+/// tenants; per-packet flow choice is Zipf-distributed. Both
+/// constructors throw std::runtime_error on an empty flow population.
 class PoissonFlowSource final : public TrafficSource {
  public:
   explicit PoissonFlowSource(PoissonFlowConfig cfg);

@@ -1,12 +1,11 @@
-// Chaos & recovery subsystem tests: FaultPlan JSON round-trip and
-// seeded-random determinism, injector timing against a mock surface,
-// the end-to-end availability loop (BFD detect -> VIP withdraw ->
-// redeploy -> cutover) with its timing bounds, false-positive handling,
-// NIC/core fault plumbing, and byte-identical replay of a whole
-// experiment from the same seed.
+// Chaos & recovery subsystem tests: fault-kind names, injector timing
+// against a mock surface, the end-to-end availability loop (BFD detect
+// -> VIP withdraw -> redeploy -> cutover) with its timing bounds,
+// false-positive handling and NIC/core fault plumbing. Scenario files
+// (a chaos plan is a one-AZ fleet spec) are tested in test_fleet.
 #include <gtest/gtest.h>
 
-#include "chaos/experiment.hpp"
+#include "chaos/recovery.hpp"
 
 namespace albatross {
 namespace {
@@ -20,74 +19,6 @@ TEST(FaultPlan, KindNamesRoundTrip) {
   }
   EXPECT_THROW((void)fault_kind_from_name("meteor_strike"),
                std::runtime_error);
-}
-
-TEST(FaultPlan, JsonRoundTrip) {
-  FaultPlan plan;
-  plan.name = "rt";
-  plan.seed = 42;
-  plan.events.push_back({2 * kSecond, FaultKind::kPodCrash, 0, NanoTime{0}, 0.0});
-  plan.events.push_back(
-      {5 * kSecond, FaultKind::kNicDmaError, 1, 20 * kMillisecond, 8.0});
-  const std::string text = plan.to_json().dump();
-
-  const auto parsed = json_parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  const FaultPlan back = FaultPlan::from_json(*parsed);
-  EXPECT_EQ(back.name, "rt");
-  EXPECT_EQ(back.seed, 42u);
-  ASSERT_EQ(back.events.size(), 2u);
-  EXPECT_EQ(back.events[0].at, 2 * kSecond);
-  EXPECT_EQ(back.events[0].kind, FaultKind::kPodCrash);
-  EXPECT_EQ(back.events[1].kind, FaultKind::kNicDmaError);
-  EXPECT_EQ(back.events[1].gateway, 1);
-  EXPECT_EQ(back.events[1].duration, 20 * kMillisecond);
-  EXPECT_DOUBLE_EQ(back.events[1].magnitude, 8.0);
-}
-
-TEST(FaultPlan, FromJsonSortsByTimeAndRejectsUnknownKind) {
-  const auto v = json_parse(
-      R"({"events":[{"at_ms":900,"kind":"link_flap"},
-                    {"at_ms":100,"kind":"bgp_reset"}]})");
-  ASSERT_TRUE(v.has_value());
-  const FaultPlan plan = FaultPlan::from_json(*v);
-  ASSERT_EQ(plan.events.size(), 2u);
-  EXPECT_EQ(plan.events[0].kind, FaultKind::kBgpReset);
-  EXPECT_EQ(plan.events[1].kind, FaultKind::kLinkFlap);
-
-  const auto bad =
-      json_parse(R"({"events":[{"at_ms":1,"kind":"gamma_ray"}]})");
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_THROW(FaultPlan::from_json(*bad), std::runtime_error);
-}
-
-TEST(FaultPlan, RandomIsSeedDeterministic) {
-  const auto a = FaultPlan::random(7, 20, 4, 30 * kSecond);
-  const auto b = FaultPlan::random(7, 20, 4, 30 * kSecond);
-  ASSERT_EQ(a.events.size(), 20u);
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].at, b.events[i].at);
-    EXPECT_EQ(a.events[i].kind, b.events[i].kind);
-    EXPECT_EQ(a.events[i].gateway, b.events[i].gateway);
-    EXPECT_EQ(a.events[i].duration, b.events[i].duration);
-    EXPECT_DOUBLE_EQ(a.events[i].magnitude, b.events[i].magnitude);
-  }
-  // Sorted, in-window, and a different seed gives a different script.
-  for (std::size_t i = 1; i < a.events.size(); ++i) {
-    EXPECT_LE(a.events[i - 1].at, a.events[i].at);
-  }
-  for (const auto& e : a.events) {
-    EXPECT_GE(e.at, kSecond);
-    EXPECT_LT(e.at, 30 * kSecond);
-    EXPECT_LT(e.gateway, 4);
-  }
-  const auto c = FaultPlan::random(8, 20, 4, 30 * kSecond);
-  bool differs = false;
-  for (std::size_t i = 0; i < c.events.size(); ++i) {
-    differs |= c.events[i].at != a.events[i].at ||
-               c.events[i].kind != a.events[i].kind;
-  }
-  EXPECT_TRUE(differs);
 }
 
 // ---------------------------------------------------------- FaultInjector
@@ -271,50 +202,6 @@ TEST(ChaosRecovery, NicAndCoreFaultsReachTheModules) {
   EXPECT_EQ(harness.platform().pod(pod).core_stalls(), 2u);
   // The harness stayed up through all of it.
   EXPECT_GT(harness.platform().telemetry(pod).delivered, 100'000u);
-}
-
-// ------------------------------------------------- declarative experiments
-
-constexpr std::string_view kReplayJson = R"({
-  "chaos": {
-    "gateways": 2, "servers": 2, "rate_mpps": 0.02, "flows": 64,
-    "duration_ms": 20000,
-    "plan": { "random": { "seed": 7, "count": 4, "horizon_ms": 14000 } }
-  }
-})";
-
-TEST(ChaosExperiment, ReplayIsByteIdentical) {
-  const auto a = run_chaos_experiment_from_json(kReplayJson);
-  const auto b = run_chaos_experiment_from_json(kReplayJson);
-  EXPECT_EQ(a.injected.applied, 4u);
-  EXPECT_FALSE(a.timeline.empty());
-  EXPECT_EQ(a.timeline, b.timeline);
-  EXPECT_EQ(a.packets_lost, b.packets_lost);
-  EXPECT_EQ(a.blackholed_total, b.blackholed_total);
-  EXPECT_EQ(a.delivered_total, b.delivered_total);
-}
-
-TEST(ChaosExperiment, ScriptedPlanRunsAndReports) {
-  const auto r = run_chaos_experiment_from_json(R"({
-    "gateways": 1, "rate_mpps": 0.02, "flows": 64, "duration_ms": 22000,
-    "plan": { "events": [
-      { "at_ms": 6000, "kind": "pod_crash", "gateway": 0 } ] }
-  })");
-  EXPECT_EQ(r.gateways, 1);
-  EXPECT_EQ(r.injected.applied, 1u);
-  ASSERT_EQ(r.incidents.size(), 1u);
-  EXPECT_TRUE(r.incidents[0].recovered);
-  EXPECT_TRUE(r.incidents[0].redeployed);
-  EXPECT_LT(r.incidents[0].recovery_ns(), 40 * kSecond);
-  EXPECT_GT(r.delivered_total, 0u);
-  EXPECT_NE(r.timeline.find("pod_crash g0"), std::string::npos);
-}
-
-TEST(ChaosExperiment, BadJsonAndBadKindThrow) {
-  EXPECT_THROW(run_chaos_experiment_from_json("{nope"), std::runtime_error);
-  EXPECT_THROW(run_chaos_experiment_from_json(
-                   R"({"plan":{"events":[{"kind":"solar_flare"}]}})"),
-               std::runtime_error);
 }
 
 }  // namespace

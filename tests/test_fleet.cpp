@@ -2,9 +2,11 @@
 // million-tenant population sharding, the LogHistogram / weighted-
 // quantile percentile edges the SLO report depends on, fault scoping,
 // and the end-to-end smoke scenario (determinism, conservation, the
-// failover envelope and the zero-blackhole upgrade wave), and the AZ
-// workers' contract: output byte-identical to the sequential engine's
-// goldens, and an AZ's build error surfacing on the caller.
+// failover envelope and the zero-blackhole upgrade wave), the AZ
+// workers' contract (output byte-identical to the sequential engine's
+// goldens, an AZ's build error surfacing on the caller), a chaos plan
+// run as a one-AZ spec, and malformed sizes reaching the caller as
+// errors.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "check/fuzz.hpp"
 #include "check/testseed.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
@@ -456,10 +457,20 @@ TEST(FleetEngine, MetricsRegistryExportsFleetAggregates) {
   register_fleet_metrics(registry, engine);
   EXPECT_GT(registry.size(), 0u);
   const std::string text = registry.expose();
-  EXPECT_NE(text.find("fleet_incidents_opened"), std::string::npos);
-  EXPECT_NE(text.find("fleet_packets_lost"), std::string::npos);
-  EXPECT_NE(text.find("az-a"), std::string::npos);
-  EXPECT_NE(text.find("az-b"), std::string::npos);
+  // One register_chaos_metrics set per AZ, told apart by the az label.
+  // The smoke spec crashes one gateway in az-a and none in az-b.
+  EXPECT_NE(text.find("albatross_chaos_incidents_total{az=\"az-a\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("albatross_chaos_incidents_total{az=\"az-b\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("albatross_chaos_faults_injected{az=\"az-a\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("albatross_chaos_detect_latency_ns_count{az=\"az-a\"} 1"),
+            std::string::npos);
+  EXPECT_NE(text.find("albatross_chaos_packets_lost_total{az=\"az-b\"}"),
+            std::string::npos);
+  EXPECT_EQ(text.find("fleet_"), std::string::npos);
 }
 
 // --- AZ workers: thread-count-invariant output, error propagation -------
@@ -476,9 +487,12 @@ std::string read_golden(const std::string& file) {
 // sequential engine (AZs built and run one after another on one thread)
 // via `albatross_sim fleet --scenario <name>.json --out <name>.slo.json`.
 // ci_smoke is the CI fleet-smoke spec; three_az_uneven has AZs of 1, 6
-// and 3 gateways, so its workers finish out of AZ order.
+// and 3 gateways, so its workers finish out of AZ order; one_az_crash is
+// a chaos plan as a one-AZ spec (a gateway crash at 6 s, 22 s horizon,
+// flat load, no upgrades).
 TEST(FleetEngine, ReportAndSloMatchSequentialGoldens) {
-  for (const std::string name : {"ci_smoke", "three_az_uneven"}) {
+  for (const std::string name :
+       {"ci_smoke", "three_az_uneven", "one_az_crash"}) {
     SCOPED_TRACE(name);
     const fleet::FleetSpec spec =
         fleet::FleetSpec::from_json_text(read_golden(name + ".json"));
@@ -506,21 +520,37 @@ TEST(FleetEngine, AzBuildErrorReachesTheCaller) {
   }
 }
 
-// --- shrunk-trace replay bridge ------------------------------------------
+// --- a chaos plan is a one-AZ spec ---------------------------------------
 
-TEST(FleetTraceReplay, MatchesCheckRunTrace) {
-  const check::FuzzTrace trace =
-      check::generate_trace(check::test_seed(11), 400, check::ChaosMode::kNone);
-  const check::FuzzReport direct = check::run_trace(trace);
-  const check::FuzzReport bridged = fleet::run_fleet_trace(trace);
+TEST(FleetEngine, OneAzCrashPlanRecoversThePod) {
+  const fleet::FleetResult result = fleet::run_fleet(
+      fleet::FleetSpec::from_json_text(read_golden("one_az_crash.json")));
+  ASSERT_EQ(result.azs.size(), 1u);
+  const fleet::FleetAzResult& az = result.azs[0];
+  EXPECT_EQ(az.gateways, 2u);
+  EXPECT_EQ(az.injected.applied, 1u);
+  ASSERT_EQ(az.incidents.size(), 1u);
+  const IncidentRecord& inc = az.incidents[0];
+  EXPECT_EQ(inc.kind, FaultKind::kPodCrash);
+  EXPECT_TRUE(inc.recovered);
+  EXPECT_TRUE(inc.redeployed);
+  EXPECT_LT(inc.recovery_ns(), 40 * kSecond);
+  EXPECT_GT(az.delivered, 0u);
+  EXPECT_NE(az.timeline.find("pod_crash g0"), std::string::npos);
+  EXPECT_TRUE(result.upgrades.empty());
+  EXPECT_EQ(result.conformance_violations, 0u);
+}
 
-  EXPECT_EQ(bridged.violations, direct.violations);
-  EXPECT_EQ(bridged.packets, direct.packets);
-  EXPECT_EQ(bridged.offered, direct.offered);
-  EXPECT_EQ(bridged.delivered, direct.delivered);
-  EXPECT_EQ(bridged.events, direct.events);
-  EXPECT_EQ(bridged.ledger_checked, direct.ledger_checked);
-  EXPECT_EQ(bridged.ledger, direct.ledger);
+// --- malformed sizes fail at construction, not mid-run -------------------
+
+TEST(FleetEngine, ZeroCoresOrFlowsReachTheCallerAsErrors) {
+  fleet::FleetSpec cores = fleet::FleetSpec::smoke();
+  cores.azs[1].data_cores = 0;
+  EXPECT_THROW(fleet::FleetEngine{cores}, std::runtime_error);
+
+  fleet::FleetSpec flows = fleet::FleetSpec::smoke();
+  flows.flows_per_gateway = 0;
+  EXPECT_THROW(fleet::FleetEngine{flows}, std::runtime_error);
 }
 
 }  // namespace

@@ -143,5 +143,17 @@ TEST(ConfigLoader, HitterStepsAndBadReferences) {
   EXPECT_GT(r.pods[0].delivered_mpps, 0.2);
 }
 
+TEST(ConfigLoader, ZeroCoresOrFlowsThrowAtBuild) {
+  EXPECT_THROW(run_experiment_from_json(R"({
+    "pods": [{"service": "vpc", "data_cores": 0}]
+  })"),
+               std::runtime_error);
+  EXPECT_THROW(run_experiment_from_json(R"({
+    "pods": [{"service": "vpc"}],
+    "traffic": [{"type": "poisson", "pod": 0, "flows": 0}]
+  })"),
+               std::runtime_error);
+}
+
 }  // namespace
 }  // namespace albatross

@@ -248,5 +248,18 @@ TEST(Platform, OfflinePodBlackholesFullPumpBatches) {
   EXPECT_EQ(tenant_offered, t.offered);
 }
 
+TEST(Platform, CreatePodRejectsZeroDataCores) {
+  PlatformConfig pc;
+  pc.tenants = 16;
+  pc.routes = 100;
+  pc.tables_data_cores = 1;
+  Platform platform(pc);
+  GwPodConfig cfg;
+  cfg.data_cores = 0;
+  EXPECT_THROW(platform.create_pod(cfg), std::runtime_error);
+  cfg.data_cores = 1;
+  EXPECT_EQ(platform.create_pod(cfg), PodId{0});
+}
+
 }  // namespace
 }  // namespace albatross

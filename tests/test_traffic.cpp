@@ -83,6 +83,14 @@ TEST(PoissonFlowSource, SetRateZeroExhausts) {
   EXPECT_FALSE(src.next_time().has_value());
 }
 
+TEST(PoissonFlowSource, RejectsAnEmptyFlowPopulation) {
+  PoissonFlowConfig cfg;
+  cfg.num_flows = 0;
+  EXPECT_THROW(PoissonFlowSource{cfg}, std::runtime_error);
+  EXPECT_THROW((PoissonFlowSource{PoissonFlowConfig{}, {}}),
+               std::runtime_error);
+}
+
 TEST(RateProfile, PiecewiseLookups) {
   RateProfile p{{NanoTime{0}, 100.0}, {10 * kSecond, 0.0}, {20 * kSecond, 50.0}};
   EXPECT_DOUBLE_EQ(p.rate_at(Nanos{0}), 100.0);

@@ -9,10 +9,6 @@
 //                 [--duration-ms T] [--hitter-mpps R] [--drop-flag 0|1]
 //                 [--offload] [--metrics]
 //   albatross_sim --config experiment.json    (see core/config.hpp schema)
-//   albatross_sim chaos --plan chaos.json [--metrics]
-//                 (see chaos/experiment.hpp schema; replays a fault plan
-//                  against a gateway fleet and prints the incident
-//                  timeline — same plan + seed => identical output)
 //   albatross_sim fuzz [--seed N] [--seeds K] [--ticks T]
 //                 [--chaos none|benign|stall] [--dump file.json]
 //                 (randomized conformance fuzzing, docs/CONFORMANCE.md;
@@ -21,20 +17,26 @@
 //                 (re-runs a dumped trace deterministically)
 //   albatross_sim fleet --scenario fleet.json [--out report.json]
 //                 [--metrics]
-//                 (see fleet/fleet_spec.hpp schema; runs a multi-AZ
+//                 (see fleet/fleet_spec.hpp schema; runs a gateway
 //                  fleet scenario — diurnal load, rolling upgrades,
-//                  faults — and prints the availability SLO report.
-//                  A fuzz-trace JSON, detected by its "ops" array,
-//                  replays through the conformance driver instead, so
-//                  shrunk reproducers run via --scenario directly.)
+//                  fault script — and prints the incident timelines and
+//                  the availability SLO report. A chaos plan is a
+//                  one-AZ spec whose faults carry "az": 0; same spec +
+//                  seed => identical output.)
+//
+// Malformed input (bad numbers, unknown names, zero cores or flows)
+// prints "error: ..." and exits 1; an unknown flag prints usage, exit 2.
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <fstream>
 #include <sstream>
 
-#include "chaos/experiment.hpp"
 #include "check/fuzz.hpp"
 #include "check/testseed.hpp"
 #include "core/config.hpp"
@@ -68,7 +70,7 @@ struct Options {
       "                     [--mode plb|rss] [--rate-mpps R] [--flows N]\n"
       "                     [--duration-ms T] [--hitter-mpps R]\n"
       "                     [--drop-flag 0|1] [--offload] [--metrics]\n"
-      "       albatross_sim chaos --plan chaos.json\n"
+      "       albatross_sim --config experiment.json\n"
       "       albatross_sim fuzz [--seed N] [--seeds K] [--ticks T]\n"
       "                     [--tier] [--chaos none|benign|stall]\n"
       "                     [--dump f.json] [--replay f.json]\n"
@@ -77,6 +79,32 @@ struct Options {
   std::exit(2);
 }
 
+/// Whole-string numeric flag values: empty input, trailing junk ("8x",
+/// "abc") and out-of-range values are errors, not a silent 0.
+double number_arg(const std::string& flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    throw std::runtime_error(flag + ": not a number: '" + text + "'");
+  }
+  return v;
+}
+
+template <typename T>
+T integer_arg(const std::string& flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::in_range<T>(v)) {
+    throw std::runtime_error(flag + ": not an integer in range: '" + text +
+                             "'");
+  }
+  return static_cast<T>(v);
+}
+
+/// Unknown flags return false (usage, exit 2); malformed values throw.
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -85,29 +113,22 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return argv[++i];
     };
     if (a == "--service") {
-      const std::string v = next();
-      if (v == "vpc") opt.service = ServiceKind::kVpcVpc;
-      else if (v == "internet") opt.service = ServiceKind::kVpcInternet;
-      else if (v == "idc") opt.service = ServiceKind::kVpcIdc;
-      else if (v == "cloud") opt.service = ServiceKind::kVpcCloudService;
-      else return false;
+      opt.service = service_from_name(next());
     } else if (a == "--cores") {
-      opt.cores = static_cast<std::uint16_t>(std::atoi(next()));
+      opt.cores = integer_arg<std::uint16_t>(a, next());
     } else if (a == "--mode") {
-      const std::string v = next();
-      if (v == "plb") opt.mode = LbMode::kPlb;
-      else if (v == "rss") opt.mode = LbMode::kRss;
-      else return false;
+      opt.mode = mode_from_name(next());
     } else if (a == "--rate-mpps") {
-      opt.rate_mpps = std::atof(next());
+      opt.rate_mpps = number_arg(a, next());
     } else if (a == "--flows") {
-      opt.flows = static_cast<std::size_t>(std::atoll(next()));
+      opt.flows = integer_arg<std::size_t>(a, next());
     } else if (a == "--duration-ms") {
-      opt.duration = std::atoll(next()) * kMillisecond;
+      // 32-bit milliseconds keep the nanosecond product in range.
+      opt.duration = integer_arg<std::int32_t>(a, next()) * kMillisecond;
     } else if (a == "--hitter-mpps") {
-      opt.hitter_mpps = std::atof(next());
+      opt.hitter_mpps = number_arg(a, next());
     } else if (a == "--drop-flag") {
-      opt.drop_flag = std::atoi(next()) != 0;
+      opt.drop_flag = integer_arg<int>(a, next()) != 0;
     } else if (a == "--offload") {
       opt.offload = true;
     } else if (a == "--metrics") {
@@ -121,54 +142,16 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return true;
 }
 
-int run_chaos(int argc, char** argv) {
-  const char* plan_path = nullptr;
-  for (int i = 2; i < argc; ++i) {
-    if (std::string(argv[i]) == "--plan" && i + 1 < argc) {
-      plan_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: albatross_sim chaos --plan chaos.json\n");
-      return 2;
-    }
-  }
-  if (plan_path == nullptr) {
-    std::fprintf(stderr, "usage: albatross_sim chaos --plan chaos.json\n");
-    return 2;
-  }
-  std::ifstream in(plan_path);
+/// The whole file, or nullopt after printing "cannot open".
+std::optional<std::string> read_file(const char* path) {
+  std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", plan_path);
-    return 1;
+    std::fprintf(stderr, "cannot open %s\n", path);
+    return std::nullopt;
   }
   std::ostringstream text;
   text << in.rdbuf();
-  try {
-    const auto r = run_chaos_experiment_from_json(text.str());
-    std::printf("chaos: %u gateways, %lld ms, %llu faults injected "
-                "(%llu cleared)\n",
-                r.gateways,
-                static_cast<long long>(r.duration / kMillisecond),
-                static_cast<unsigned long long>(r.injected.applied),
-                static_cast<unsigned long long>(r.injected.cleared));
-    std::printf("  incidents    : %zu opened, %llu withdraws, %llu "
-                "redeploys\n",
-                r.incidents.size(),
-                static_cast<unsigned long long>(r.harness.withdraws),
-                static_cast<unsigned long long>(r.harness.redeploys));
-    std::printf("  packets      : %llu delivered, %llu blackholed, %llu "
-                "lost to incidents\n",
-                static_cast<unsigned long long>(r.delivered_total),
-                static_cast<unsigned long long>(r.blackholed_total),
-                static_cast<unsigned long long>(r.packets_lost));
-    std::printf("  detect  (us) : %s\n", r.detect_summary.c_str());
-    std::printf("  recover (us) : %s\n", r.recovery_summary.c_str());
-    std::printf("timeline:\n%s", r.timeline.c_str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+  return text.str();
 }
 
 void print_fuzz_report(const check::FuzzReport& r) {
@@ -240,14 +223,9 @@ int run_fuzz(int argc, char** argv) {
   }
 
   if (!replay_path.empty()) {
-    std::ifstream in(replay_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", replay_path.c_str());
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto trace = check::trace_from_json(text.str());
+    const auto text = read_file(replay_path.c_str());
+    if (!text) return 1;
+    auto trace = check::trace_from_json(*text);
     if (!trace) {
       std::fprintf(stderr, "fuzz: %s is not a valid trace\n",
                    replay_path.c_str());
@@ -331,110 +309,49 @@ int run_fleet_cmd(int argc, char** argv) {
                  "[--out report.json] [--metrics]\n");
     return 2;
   }
-  std::ifstream in(scenario_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", scenario_path);
-    return 1;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
+  const auto text = read_file(scenario_path);
+  if (!text) return 1;
 
-  // A shrunk fuzz reproducer (trace JSON has an "ops" array) replays
-  // through the conformance driver: one flag, either artifact.
-  {
-    const auto parsed = json_parse(text.str());
-    if (parsed && (*parsed)["ops"].is_array()) {
-      auto trace = check::trace_from_json(text.str());
-      if (!trace) {
-        std::fprintf(stderr, "fleet: %s has an \"ops\" array but is not a "
-                             "valid fuzz trace\n",
-                     scenario_path);
-        return 1;
-      }
-      const auto report = fleet::run_fleet_trace(*trace);
-      std::printf("fleet trace replay %s: seed=%llu ops=%zu %s\n",
-                  scenario_path,
-                  static_cast<unsigned long long>(trace->scenario.seed),
-                  trace->ops.size(),
-                  report.violated() ? "VIOLATED" : "clean");
-      print_fuzz_report(report);
-      return report.violated() ? 1 : 0;
+  fleet::FleetSpec spec = fleet::FleetSpec::from_json_text(*text);
+  spec.seed = check::test_seed(spec.seed);
+  fleet::FleetEngine engine(spec);
+  engine.run();
+  const auto result = engine.collect();
+  std::printf("%s", result.report_text().c_str());
+  if (!out_path.empty()) {
+    std::ofstream out(out_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+      return 1;
     }
+    out << result.slo.to_json().dump() << "\n";
+    // stderr: stdout stays byte-identical across same-seed runs even
+    // when the two runs write to different --out paths.
+    std::fprintf(stderr, "SLO report written to %s\n", out_path.c_str());
   }
-
-  try {
-    fleet::FleetSpec spec = fleet::FleetSpec::from_json_text(text.str());
-    spec.seed = check::test_seed(spec.seed);
-    fleet::FleetEngine engine(spec);
-    engine.run();
-    const auto result = engine.collect();
-    std::printf("%s", result.report_text().c_str());
-    if (!out_path.empty()) {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-      }
-      out << result.slo.to_json().dump() << "\n";
-      // stderr: stdout stays byte-identical across same-seed runs even
-      // when the two runs write to different --out paths.
-      std::fprintf(stderr, "SLO report written to %s\n", out_path.c_str());
-    }
-    if (metrics) {
-      MetricsRegistry registry;
-      register_fleet_metrics(registry, engine);
-      std::printf("\n%s", registry.expose().c_str());
-    }
-    return result.conformance_violations == 0 ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  if (metrics) {
+    MetricsRegistry registry;
+    register_fleet_metrics(registry, engine);
+    std::printf("\n%s", registry.expose().c_str());
   }
+  return result.conformance_violations == 0 ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Chaos mode: replay a fault plan against a gateway fleet.
-  if (argc >= 2 && std::string(argv[1]) == "chaos") {
-    return run_chaos(argc, argv);
+int run_config(const char* path) {
+  const auto text = read_file(path);
+  if (!text) return 1;
+  const auto result = run_experiment_from_json(*text);
+  for (std::size_t i = 0; i < result.pods.size(); ++i) {
+    const auto& r = result.pods[i];
+    std::printf("pod %zu: delivered %.3f Mpps (loss %.3f%%), mean "
+                "%.1f us, p99 %.1f us, disorder %.1e\n",
+                i, r.delivered_mpps, r.loss_rate * 100, r.mean_latency_us,
+                r.p99_latency_us, r.disorder_rate);
   }
+  return 0;
+}
 
-  // Fleet mode: multi-AZ cluster scenario with SLO report.
-  if (argc >= 2 && std::string(argv[1]) == "fleet") {
-    return run_fleet_cmd(argc, argv);
-  }
-
-  // Fuzz mode: randomized conformance runs with invariant probes armed.
-  if (argc >= 2 && std::string(argv[1]) == "fuzz") {
-    return run_fuzz(argc, argv);
-  }
-
-  // Declarative mode: --config file.json runs a whole experiment spec.
-  if (argc == 3 && std::string(argv[1]) == "--config") {
-    std::ifstream in(argv[2]);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", argv[2]);
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-      const auto result = run_experiment_from_json(text.str());
-      for (std::size_t i = 0; i < result.pods.size(); ++i) {
-        const auto& r = result.pods[i];
-        std::printf("pod %zu: delivered %.3f Mpps (loss %.3f%%), mean "
-                    "%.1f us, p99 %.1f us, disorder %.1e\n",
-                    i, r.delivered_mpps, r.loss_rate * 100,
-                    r.mean_latency_us, r.p99_latency_us, r.disorder_rate);
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
+int run_flags(int argc, char** argv) {
   Options opt;
   if (!parse_args(argc, argv, opt)) usage_and_exit();
 
@@ -493,4 +410,23 @@ int main(int argc, char** argv) {
     std::printf("\n%s", registry.expose().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string mode = argc >= 2 ? argv[1] : "";
+  try {
+    // Fleet mode: gateway fleet scenario (or one-AZ chaos plan) with
+    // SLO report.
+    if (mode == "fleet") return run_fleet_cmd(argc, argv);
+    // Fuzz mode: randomized conformance runs with invariant probes armed.
+    if (mode == "fuzz") return run_fuzz(argc, argv);
+    // Declarative mode: --config file.json runs a whole experiment spec.
+    if (argc == 3 && mode == "--config") return run_config(argv[2]);
+    return run_flags(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
