@@ -112,7 +112,8 @@ void Platform::pump(std::size_t source_idx) {
 void Platform::handle_ingress(PacketPtr pkt, PodId pod, NanoTime now) {
   PodTelemetry& tel = telemetry_[pod];
   ++tel.offered;
-  TenantCounters& tc = tenants_[pkt->vni];
+  const Vni vni = pkt->vni;
+  TenantCounters& tc = tenants_[vni];
   ++tc.offered;
   if (offline_[pod]) {
     // The pod is dead but routes still point at it: the packet vanishes.
@@ -123,8 +124,8 @@ void Platform::handle_ingress(PacketPtr pkt, PodId pod, NanoTime now) {
 
   IngressResult r = nic_.ingress(std::move(pkt), pod, now);
   // Parsing may rewrite the VNI, so the outcome is charged to the
-  // tenant the NIC saw.
-  TenantCounters& out_tc = tenants_[r.pkt->vni];
+  // tenant the NIC saw (map references stay valid across inserts).
+  TenantCounters& out_tc = r.pkt->vni == vni ? tc : tenants_[r.pkt->vni];
   switch (r.outcome) {
     case IngressOutcome::kDroppedRateLimit:
       ++tel.dropped_rate_limit;

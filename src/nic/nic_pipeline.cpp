@@ -218,7 +218,9 @@ void NicPipeline::drain_expired_into(PodId pod, NanoTime now,
 
 std::optional<NanoTime> NicPipeline::next_reorder_deadline(PodId pod) const {
   if (pod >= pods_.size() || pods_[pod].plb == nullptr) return std::nullopt;
-  return pods_[pod].plb->next_deadline();
+  const NanoTime deadline = pods_[pod].plb->next_deadline();
+  if (deadline == NanoTime::max()) return std::nullopt;
+  return deadline;
 }
 
 }  // namespace albatross

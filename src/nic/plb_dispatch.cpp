@@ -62,15 +62,6 @@ void PlbEngine::drain_all(NanoTime now, std::vector<ReorderEgress>& out) {
   for (auto& q : queues_) q->drain(now, out);
 }
 
-std::optional<NanoTime> PlbEngine::next_deadline() const {
-  std::optional<NanoTime> best;
-  for (const auto& q : queues_) {
-    const auto d = q->head_deadline();
-    if (d && (!best || *d < *best)) best = d;
-  }
-  return best;
-}
-
 ReorderQueueStats PlbEngine::total_stats() const {
   ReorderQueueStats t;
   for (const auto& q : queues_) {

@@ -10,6 +10,7 @@
 // engine so pods never interfere (§5).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -54,8 +55,13 @@ class PlbEngine {
   /// Runs the reorder check on every queue (timeout-driven entry point).
   void drain_all(NanoTime now, std::vector<ReorderEgress>& out);
 
-  /// Earliest head-timeout deadline across queues, for event scheduling.
-  [[nodiscard]] std::optional<NanoTime> next_deadline() const;
+  /// Earliest head-timeout deadline across queues, for event scheduling;
+  /// NanoTime::max() when every queue is empty.
+  [[nodiscard]] NanoTime next_deadline() const {
+    NanoTime best = NanoTime::max();
+    for (const auto& q : queues_) best = std::min(best, q->head_deadline());
+    return best;
+  }
 
   [[nodiscard]] std::uint16_t ordq_index(const FiveTuple& tuple) const;
   [[nodiscard]] const PlbEngineConfig& config() const { return cfg_; }

@@ -164,15 +164,6 @@ void ReorderQueue::drain(NanoTime now, std::vector<ReorderEgress>& out) {
   }
 }
 
-std::optional<NanoTime> ReorderQueue::head_deadline() const {
-  if (head_ == tail_) return std::nullopt;
-  const NanoTime deadline = fifo_ts_[slot(head_)] + timeout_;
-  // While stalled the check cannot run, so the effective deadline is the
-  // stall end; returning the past deadline would re-arm a timer at the
-  // current virtual time forever.
-  return deadline > stuck_until_ ? deadline : stuck_until_;
-}
-
 std::size_t ReorderQueue::bram_bytes() const {
   // FIFO: PSN(4B) + timestamp(6B used of 8) per entry; BITMAP: valid +
   // drop + PSN ~ 5B; BUF descriptor: 8B pointer/handle per entry (packet

@@ -77,8 +77,16 @@ class ReorderQueue {
   /// expired, appending emissions to `out`.
   void drain(NanoTime now, std::vector<ReorderEgress>& out);
 
-  /// Virtual time at which the current head times out (Case 1), if any.
-  [[nodiscard]] std::optional<NanoTime> head_deadline() const;
+  /// Virtual time at which the current head times out (Case 1), or
+  /// NanoTime::max() when the FIFO is empty.
+  [[nodiscard]] NanoTime head_deadline() const {
+    if (head_ == tail_) return NanoTime::max();
+    const NanoTime deadline = fifo_ts_[slot(head_)] + timeout_;
+    // While stalled the check cannot run, so the effective deadline is
+    // the stall end; returning the past deadline would re-arm a timer at
+    // the current virtual time forever.
+    return deadline > stuck_until_ ? deadline : stuck_until_;
+  }
 
   /// Fault injection (chaos subsystem): freezes the reorder check until
   /// `until`, modelling a wedged FPGA reorder module. Dispatch and

@@ -1,6 +1,7 @@
 #include "packet/packet.hpp"
 
 #include <cassert>
+#include <new>
 #include <vector>
 
 #include "common/endian.hpp"
@@ -41,7 +42,54 @@ std::size_t class_of(std::size_t cap) {
   return kNumClasses;
 }
 
+// Freelist of Packet-sized blocks, threaded through the blocks
+// themselves and bounded like the buffer classes above.
+constexpr std::size_t kMaxPooledPackets = 16384;
+
+struct FreeBlock {
+  FreeBlock* next;
+};
+
+struct PacketPool {
+  FreeBlock* head = nullptr;
+  std::size_t count = 0;
+  ~PacketPool() {
+    while (head != nullptr) {
+      FreeBlock* next = head->next;
+      ::operator delete(head);
+      head = next;
+    }
+  }
+};
+
+PacketPool& packet_pool() {
+  static thread_local PacketPool pool;
+  return pool;
+}
+
 }  // namespace
+
+void* Packet::operator new(std::size_t size) {
+  PacketPool& pool = packet_pool();
+  if (size == sizeof(Packet) && pool.head != nullptr) {
+    FreeBlock* b = pool.head;
+    pool.head = b->next;
+    --pool.count;
+    return b;
+  }
+  return ::operator new(size);
+}
+
+void Packet::operator delete(void* p, std::size_t size) noexcept {
+  if (p == nullptr) return;
+  PacketPool& pool = packet_pool();
+  if (size == sizeof(Packet) && pool.count < kMaxPooledPackets) {
+    pool.head = ::new (p) FreeBlock{pool.head};
+    ++pool.count;
+    return;
+  }
+  ::operator delete(p);
+}
 
 PacketBuf::PacketBuf(std::size_t min_bytes) {
   std::size_t sz = std::size_t{1} << kMinClassShift;

@@ -95,6 +95,13 @@ class Packet {
   static std::unique_ptr<Packet> make_synthetic(const FiveTuple& tuple,
                                                 Vni vni, std::size_t wire_len);
 
+  /// Packet objects are recycled through a bounded thread_local
+  /// freelist, like PacketBuf arenas: the simulator creates and destroys
+  /// one per modelled packet. Every constructor sets every field, so a
+  /// recycled object carries no old metadata.
+  static void* operator new(std::size_t size);
+  static void operator delete(void* p, std::size_t size) noexcept;
+
   Packet(const Packet&) = delete;
   Packet& operator=(const Packet&) = delete;
   Packet(Packet&&) noexcept = default;

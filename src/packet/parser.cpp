@@ -66,6 +66,14 @@ Vni ParsedPacket::tenant_vni() const {
 
 std::optional<ParsedPacket> parse_packet(std::span<const std::uint8_t> f) {
   if (f.size() < EthernetHeader::kSize) return std::nullopt;
+  // Other outer EtherTypes (the all-zero synthetic frames among them)
+  // are out of scope: reject them before building a ParsedPacket.
+  const std::uint16_t outer = load_be16(f.data() + EthernetHeader::kSize - 2);
+  if (outer != static_cast<std::uint16_t>(EtherType::kVlan) &&
+      outer != static_cast<std::uint16_t>(EtherType::kIpv4) &&
+      outer != static_cast<std::uint16_t>(EtherType::kIpv6)) {
+    return std::nullopt;
+  }
   ParsedPacket p;
   p.eth = EthernetHeader::read(f.data());
   std::size_t off = EthernetHeader::kSize;

@@ -2,29 +2,32 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 namespace albatross {
 
 // --- wheel geometry -------------------------------------------------
 //
-// Level l buckets times by bits [6l, 6l+6) of the absolute nanosecond
-// timestamp. An event is stored at the level of its highest bit that
-// differs from the clock, so level-0 slots each hold exactly one
-// timestamp within the clock's current 64 ns window, and any two
-// pending events at different levels are ordered by level (a level-l
-// event always expires before every level-(l+1) event). Invariant: at
-// every level the occupied slots sit at-or-after the clock's own slot
-// index, so the lowest set bit of the occupancy bitmap is the earliest
-// slot — no wrap-around scan is ever needed.
+// Level 0 buckets times by bits [0, 12) of the absolute nanosecond
+// timestamp: each of its 4096 slots holds exactly one timestamp within
+// the clock's current 4096 ns window. Level l >= 1 buckets by bits
+// [12 + 6(l-1), 12 + 6l). An event is stored at the level of its
+// highest bit that differs from the clock, so any two pending events at
+// different levels are ordered by level (a level-l event always
+// expires before every level-(l+1) event), and an event keeps its level
+// until the clock enters its slot. Invariant: at every level the
+// occupied slots sit at-or-after the clock's own slot index, so the
+// lowest set bit of the occupancy bitmap is the earliest slot — no
+// wrap-around scan is ever needed.
 
 EventLoop::EventLoop() { nodes_.reserve(256); }
 
 int EventLoop::level_for(std::uint64_t at, std::uint64_t ref) {
   const std::uint64_t x = at ^ ref;
-  if (x == 0) return 0;
+  if (x < kL0Slots) return 0;
   // bit_width returns the operand's (unsigned) type pre-C++23; the
   // result is <= 64 so the narrowing is value-preserving.
-  return (static_cast<int>(std::bit_width(x)) - 1) / kLevelBits;
+  return (static_cast<int>(std::bit_width(x)) - 1 - kL0Bits) / kLevelBits + 1;
 }
 
 std::uint32_t EventLoop::alloc_node(std::uint64_t at, InlineAction fn) {
@@ -47,22 +50,29 @@ void EventLoop::free_node(std::uint32_t idx) {
   free_head_ = idx;
 }
 
-void EventLoop::link(int level, std::uint32_t slot, std::uint32_t node) {
+void EventLoop::link(Chain& c, std::uint32_t node) {
   nodes_[node].next = kNil;
-  Chain& c = slots_[static_cast<std::size_t>(level)][slot];
   if (c.tail == kNil) {
     c.head = node;
   } else {
     nodes_[c.tail].next = node;
   }
   c.tail = node;
-  occ_[static_cast<std::size_t>(level)] |= std::uint64_t{1} << slot;
 }
 
 void EventLoop::insert(std::uint32_t node) {
   const std::uint64_t at = nodes_[node].at;
   const int level = level_for(at, now_raw_);
-  link(level, slot_for(at, level), node);
+  if (level == 0) {
+    const auto slot = static_cast<std::uint32_t>(at & (kL0Slots - 1));
+    link(l0_[slot], node);
+    l0_occ_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    l0_summary_ |= std::uint64_t{1} << (slot / 64);
+    return;
+  }
+  const std::uint32_t slot = slot_for(at, level);
+  link(upper_chain(level, slot), node);
+  upper_occ_[static_cast<std::size_t>(level - 1)] |= std::uint64_t{1} << slot;
 }
 
 void EventLoop::schedule_at(NanoTime at, Action fn) {
@@ -74,22 +84,23 @@ void EventLoop::schedule_at(NanoTime at, Action fn) {
 
 bool EventLoop::peek_next(std::uint64_t& out) const {
   if (pending_ == 0) return false;
-  for (int level = 0; level < kLevels; ++level) {
-    const std::uint64_t bits = occ_[static_cast<std::size_t>(level)];
+  if (l0_summary_ != 0) {
+    // A level-0 slot is a single timestamp in the current window.
+    const int w = std::countr_zero(l0_summary_);
+    const int b = std::countr_zero(l0_occ_[static_cast<std::size_t>(w)]);
+    out = (now_raw_ & ~std::uint64_t{kL0Slots - 1}) |
+          static_cast<std::uint64_t>(w * 64 + b);
+    return true;
+  }
+  for (int level = 1; level <= kUpperLevels; ++level) {
+    const std::uint64_t bits = upper_occ_[static_cast<std::size_t>(level - 1)];
     if (bits == 0) continue;
-    const int s = std::countr_zero(bits);
-    if (level == 0) {
-      // A level-0 slot is a single timestamp in the current window.
-      out = (now_raw_ & ~std::uint64_t{kSlotsPerLevel - 1}) |
-            static_cast<std::uint64_t>(s);
-      return true;
-    }
-    // A higher-level slot spans 2^(6l) timestamps: the earliest is the
+    // A higher-level slot spans many timestamps: the earliest is the
     // chain minimum (the chain cascades down right after this, so it
     // is never rescanned at this level).
+    const Chain& c = upper_[static_cast<std::size_t>(level - 1)]
+                           [static_cast<std::size_t>(std::countr_zero(bits))];
     std::uint64_t best = ~std::uint64_t{0};
-    const Chain& c = slots_[static_cast<std::size_t>(level)]
-                           [static_cast<std::uint32_t>(s)];
     for (std::uint32_t n = c.head; n != kNil; n = nodes_[n].next) {
       best = std::min(best, nodes_[n].at);
     }
@@ -101,91 +112,43 @@ bool EventLoop::peek_next(std::uint64_t& out) const {
 
 void EventLoop::advance(std::uint64_t to) {
   if (to <= now_raw_) return;
-
-  // Collect every chain whose window the clock crosses, per level, then
-  // re-insert from the HIGHEST level down: for a given timestamp the
-  // earlier-scheduled event always sits at the higher (or equal) level,
-  // so high-to-low re-insertion preserves the FIFO tie-break.
-  std::array<Chain, kLevels> collected{};
-  int top = -1;
-
-  const auto take_slot = [this](int level, std::uint32_t slot, Chain& into) {
-    Chain& c = slots_[static_cast<std::size_t>(level)][slot];
-    if (c.head == kNil) return;
-    if (into.tail == kNil) {
-      into.head = c.head;
-    } else {
-      nodes_[into.tail].next = c.head;
-    }
-    into.tail = c.tail;
-    c.head = c.tail = kNil;
-    occ_[static_cast<std::size_t>(level)] &= ~(std::uint64_t{1} << slot);
-  };
-
-  for (int level = 0; level < kLevels; ++level) {
-    const unsigned parent_shift =
-        static_cast<unsigned>(level + 1) * static_cast<unsigned>(kLevelBits);
-    const bool same_parent =
-        parent_shift >= 64 ||
-        (now_raw_ >> parent_shift) == (to >> parent_shift);
-    if (level == 0) {
-      // Same 64 ns window: no slot index above level 0 changes either.
-      if (same_parent) {
-        now_raw_ = to;
-        return;
-      }
-      // Window crossed: every level-0 chain belongs to the old window
-      // (all are >= the clock, and none may be earlier than `to`).
-      std::uint64_t bits = occ_[0];
-      while (bits != 0) {
-        take_slot(0, static_cast<std::uint32_t>(std::countr_zero(bits)),
-                  collected[0]);
-        bits &= bits - 1;
-      }
-      top = 0;
-    } else if (same_parent) {
-      // The clock moves within this level's parent window: cascade the
-      // slots it passes over, (old, new], down to lower levels.
-      const std::uint32_t old_i = slot_for(now_raw_, level);
-      const std::uint32_t new_i = slot_for(to, level);
-      for (std::uint32_t s = old_i + 1; s <= new_i; ++s) {
-        take_slot(level, s, collected[static_cast<std::size_t>(level)]);
-      }
-      top = level;
-      break;
-    } else {
-      // Parent window crossed too: every chain at this level must be
-      // re-bucketed against the new clock.
-      std::uint64_t bits = occ_[static_cast<std::size_t>(level)];
-      while (bits != 0) {
-        take_slot(level, static_cast<std::uint32_t>(std::countr_zero(bits)),
-                  collected[static_cast<std::size_t>(level)]);
-        bits &= bits - 1;
-      }
-      top = level;
-    }
+  const int level = level_for(to, now_raw_);
+  if (level == 0) {
+    // Same 4096 ns window: no slot index above level 0 changes.
+    now_raw_ = to;
+    return;
   }
-
+  // The clock enters slot `slot` of `level`. No pending event is earlier
+  // than `to`, so every level below is empty (its events would all
+  // precede `to`) and so is every slot the clock passes over at this
+  // level; levels above keep their slots. Only the entered slot's chain
+  // is re-bucketed against the new clock, in chain order, which keeps
+  // the FIFO tie-break.
+  assert(l0_summary_ == 0);
+  const std::uint32_t slot = slot_for(to, level);
+  Chain& c = upper_chain(level, slot);
+  std::uint32_t n = c.head;
+  c.head = c.tail = kNil;
+  upper_occ_[static_cast<std::size_t>(level - 1)] &=
+      ~(std::uint64_t{1} << slot);
   now_raw_ = to;
-  for (int level = top; level >= 0; --level) {
-    std::uint32_t n = collected[static_cast<std::size_t>(level)].head;
-    while (n != kNil) {
-      const std::uint32_t nx = nodes_[n].next;
-      insert(n);
-      n = nx;
-    }
+  while (n != kNil) {
+    const std::uint32_t nx = nodes_[n].next;
+    insert(n);
+    n = nx;
   }
 }
 
 void EventLoop::fire_head() {
-  const std::uint32_t slot =
-      static_cast<std::uint32_t>(now_raw_ & (kSlotsPerLevel - 1));
-  Chain& c = slots_[0][slot];
+  const auto slot = static_cast<std::uint32_t>(now_raw_ & (kL0Slots - 1));
+  Chain& c = l0_[slot];
   const std::uint32_t n = c.head;
   c.head = nodes_[n].next;
   if (c.head == kNil) {
     c.tail = kNil;
-    occ_[0] &= ~(std::uint64_t{1} << slot);
+    std::uint64_t& word = l0_occ_[slot / 64];
+    word &= ~(std::uint64_t{1} << (slot % 64));
+    if (word == 0) l0_summary_ &= ~(std::uint64_t{1} << (slot / 64));
   }
   InlineAction fn = std::move(nodes_[n].fn);
   free_node(n);

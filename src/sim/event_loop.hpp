@@ -4,16 +4,20 @@
 // virtual nanosecond clock, so experiments are deterministic and run in
 // milliseconds of wall time regardless of the simulated traffic volume.
 //
-// The scheduler is a hierarchical timer wheel (11 levels x 64 slots,
-// 6 bits per level — covers the full 64-bit nanosecond range) instead
-// of a binary heap: insert and pop are O(1) amortized, and events live
-// in a slab of reusable nodes whose actions are stored inline
-// (InlineAction below), so the hot path performs no per-event heap
-// allocation. Same-time events fire in scheduling order (FIFO
-// tie-break), which replay determinism depends on; the tie-break is
-// structural — slot chains are appended in scheduling order and
-// cascades preserve chain order — rather than a stored sequence
-// number.
+// The scheduler is a hierarchical timer wheel instead of a binary heap.
+// Level 0 holds the clock's current 4096 ns window as 4096 exact 1-ns
+// slots, found through a two-level occupancy bitmap (64 words plus a
+// summary word); nine 6-bit levels above it (bits 12..65) cover the
+// full 64-bit nanosecond range, 10 levels in all. The sub-4-us service
+// and DMA delays that dominate land in their exact slot, or cascade
+// into it once. Insert and pop are O(1) amortized, and events live in a
+// slab of reusable nodes whose actions are stored inline (InlineAction
+// below), so the hot path performs no per-event heap allocation.
+// Same-time events fire in scheduling order (FIFO tie-break), which
+// replay determinism depends on; the tie-break is structural — events
+// with one timestamp always share one slot chain, chains are appended
+// in scheduling order and cascades preserve chain order — rather than a
+// stored sequence number.
 #pragma once
 
 #include <array>
@@ -162,9 +166,12 @@ class EventLoop {
   }
 
  private:
+  static constexpr int kL0Bits = 12;
+  static constexpr int kL0Slots = 1 << kL0Bits;  // 4096 exact 1-ns slots
+  static constexpr int kL0Words = kL0Slots / 64;  // occupancy words
   static constexpr int kLevelBits = 6;
   static constexpr int kSlotsPerLevel = 1 << kLevelBits;  // 64
-  static constexpr int kLevels = 11;  // 66 bits: whole uint64 range
+  static constexpr int kUpperLevels = 9;  // bits 12..65: whole uint64 range
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   /// Slab node: one scheduled event. Nodes are recycled through a
@@ -184,32 +191,42 @@ class EventLoop {
   [[nodiscard]] std::int64_t now_signed() const {
     return static_cast<std::int64_t>(now_raw_);
   }
+  /// 0 for the clock's own 4096 ns window, else 1 + the 6-bit group
+  /// (above bit 12) of the highest bit where `at` and `ref` differ.
   [[nodiscard]] static int level_for(std::uint64_t at, std::uint64_t ref);
+  /// Slot of `at` at upper level `level` (1..kUpperLevels).
   [[nodiscard]] static std::uint32_t slot_for(std::uint64_t at, int level) {
     return static_cast<std::uint32_t>(
-        (at >> (static_cast<unsigned>(level) * kLevelBits)) &
+        (at >> (kL0Bits + static_cast<unsigned>(level - 1) * kLevelBits)) &
         (kSlotsPerLevel - 1));
+  }
+  [[nodiscard]] Chain& upper_chain(int level, std::uint32_t slot) {
+    return upper_[static_cast<std::size_t>(level - 1)][slot];
   }
 
   std::uint32_t alloc_node(std::uint64_t at, InlineAction fn);
   void free_node(std::uint32_t idx);
-  void link(int level, std::uint32_t slot, std::uint32_t node);
+  void link(Chain& c, std::uint32_t node);
   void insert(std::uint32_t node);
 
   /// Earliest pending event time, or false. Does not mutate the wheel.
   bool peek_next(std::uint64_t& out) const;
 
-  /// Moves the clock to `to` (>= now), cascading every slot whose
-  /// window the clock crossed down to its new level.
+  /// Moves the clock to `to`, which must not pass any pending event,
+  /// cascading the one slot whose window the clock enters down to the
+  /// levels below it.
   void advance(std::uint64_t to);
 
-  /// Pops and runs the FIFO head of level-0 slot `now & 63` (the
+  /// Pops and runs the FIFO head of level-0 slot `now & 4095` (the
   /// caller guarantees, via advance(), that the earliest event is
   /// there).
   void fire_head();
 
-  std::array<std::uint64_t, kLevels> occ_{};  ///< per-level slot bitmaps
-  std::array<std::array<Chain, kSlotsPerLevel>, kLevels> slots_{};
+  std::array<Chain, kL0Slots> l0_{};
+  std::array<std::uint64_t, kL0Words> l0_occ_{};  ///< slot bitmaps
+  std::uint64_t l0_summary_ = 0;  ///< bit w: l0_occ_[w] != 0
+  std::array<std::uint64_t, kUpperLevels> upper_occ_{};
+  std::array<std::array<Chain, kSlotsPerLevel>, kUpperLevels> upper_{};
   std::vector<Node> nodes_;
   std::uint32_t free_head_ = kNil;
   std::uint64_t now_raw_ = 0;

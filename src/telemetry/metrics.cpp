@@ -1,6 +1,8 @@
 #include "telemetry/metrics.hpp"
 
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 #include "chaos/recovery.hpp"
 #include "check/probes.hpp"
@@ -71,33 +73,46 @@ std::string MetricsRegistry::render_labels(const Labels& labels) {
 }
 
 std::string MetricsRegistry::expose() const {
-  std::ostringstream os;
-  std::string last_name;
+  // One HELP/TYPE header per metric name: series are grouped by name, in
+  // the order each name was first registered (per-pod and per-AZ
+  // registration interleave names).
+  std::vector<std::vector<const Entry*>> groups;
+  std::unordered_map<std::string_view, std::size_t> group_of;
   for (const auto& e : entries_) {
-    if (e.name != last_name) {
-      if (!e.help.empty()) os << "# HELP " << e.name << ' ' << e.help << '\n';
-      os << "# TYPE " << e.name << ' '
-         << (e.kind == MetricKind::kCounter
-                 ? "counter"
-                 : e.kind == MetricKind::kGauge ? "gauge" : "summary")
-         << '\n';
-      last_name = e.name;
+    const auto [it, fresh] = group_of.try_emplace(e.name, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(&e);
+  }
+
+  std::ostringstream os;
+  for (const auto& group : groups) {
+    const Entry& head = *group.front();
+    if (!head.help.empty()) {
+      os << "# HELP " << head.name << ' ' << head.help << '\n';
     }
-    if (e.kind == MetricKind::kHistogram) {
-      const LogHistogram* h = e.histogram();
-      if (h == nullptr) continue;
-      for (const auto& [qname, q] : std::initializer_list<
-               std::pair<const char*, double>>{
-               {"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}, {"0.999", 0.999}}) {
-        Labels l = e.labels;
-        l["quantile"] = qname;
-        os << e.name << render_labels(l) << ' '
-           << static_cast<double>(h->quantile(q)) << '\n';
+    os << "# TYPE " << head.name << ' '
+       << (head.kind == MetricKind::kCounter
+               ? "counter"
+               : head.kind == MetricKind::kGauge ? "gauge" : "summary")
+       << '\n';
+    for (const Entry* series : group) {
+      const Entry& e = *series;
+      if (e.kind == MetricKind::kHistogram) {
+        const LogHistogram* h = e.histogram();
+        if (h == nullptr) continue;
+        for (const auto& [qname, q] : std::initializer_list<
+                 std::pair<const char*, double>>{
+                 {"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}, {"0.999", 0.999}}) {
+          Labels l = e.labels;
+          l["quantile"] = qname;
+          os << e.name << render_labels(l) << ' '
+             << static_cast<double>(h->quantile(q)) << '\n';
+        }
+        os << e.name << "_count" << render_labels(e.labels) << ' '
+           << h->count() << '\n';
+      } else {
+        os << e.name << render_labels(e.labels) << ' ' << e.scalar() << '\n';
       }
-      os << e.name << "_count" << render_labels(e.labels) << ' '
-         << h->count() << '\n';
-    } else {
-      os << e.name << render_labels(e.labels) << ' ' << e.scalar() << '\n';
     }
   }
   return os.str();

@@ -79,7 +79,7 @@ TEST(ReorderQueue, Case1TimeoutReleasesHead) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].meta.psn, 1u);
   EXPECT_EQ(q.stats().timeout_releases, 1u);
-  EXPECT_FALSE(q.head_deadline().has_value());
+  EXPECT_EQ(q.head_deadline(), NanoTime::max());
 }
 
 TEST(ReorderQueue, LateArrivalFailsLegalCheckAndGoesBestEffort) {
@@ -346,7 +346,7 @@ TEST(PlbEngine, NextDeadlineTracksOldestHead) {
                                    .num_rx_queues = 2,
                                    .reorder_entries = 16,
                                    .reorder_timeout = 100 * kMicrosecond});
-  EXPECT_FALSE(engine.next_deadline().has_value());
+  EXPECT_EQ(engine.next_deadline(), NanoTime::max());
   // Two flows mapping to different queues at different times.
   FiveTuple t1{Ipv4Address{1}, Ipv4Address{2}, 3, 4, IpProto::kUdp};
   FiveTuple t2 = t1;

@@ -1,6 +1,8 @@
 // Packet buffer, header (de)serialisation and parser tests.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "packet/headers.hpp"
 #include "packet/packet.hpp"
 #include "packet/parser.hpp"
@@ -83,6 +85,61 @@ TEST(Packet, CloneCopiesBytesAndMetadata) {
   EXPECT_EQ(c->seq_in_flow, 56u);
   EXPECT_EQ(c->rx_time, NanoTime{999});
   EXPECT_EQ(c->tuple, p->tuple);
+}
+
+TEST(Packet, PooledPacketComesBackWithFreshMetadata) {
+  const auto scribble = [](Packet& p) {
+    p.rx_time = NanoTime{7};
+    p.nic_ingress_done = NanoTime{8};
+    p.vni = 77;
+    p.pkt_class = PktClass::kPlb;
+    p.pod = 3;
+    p.rx_queue = 5;
+    p.flow_id = 11;
+    p.seq_in_flow = 12;
+    p.attach_plb_meta(PlbMeta{});
+  };
+
+  // A freed Packet's storage is the next one handed out.
+  auto used = Packet::make_synthetic(tuple(1, 2), 5, 64);
+  scribble(*used);
+  const Packet* recycled = used.get();
+  used.reset();
+  auto fresh = Packet::make_synthetic(tuple(7, 8), 9, 64);
+  ASSERT_EQ(fresh.get(), recycled);
+  EXPECT_EQ(fresh->rx_time, NanoTime{0});
+  EXPECT_EQ(fresh->nic_ingress_done, NanoTime{0});
+  EXPECT_EQ(fresh->tuple, tuple(7, 8));
+  EXPECT_EQ(fresh->vni, 9u);
+  EXPECT_EQ(fresh->pkt_class, PktClass::kUnclassified);
+  EXPECT_EQ(fresh->pod, 0u);
+  EXPECT_EQ(fresh->rx_queue, 0u);
+  EXPECT_EQ(fresh->flow_id, 0u);
+  EXPECT_EQ(fresh->seq_in_flow, 0u);
+  EXPECT_FALSE(fresh->has_plb_meta());
+  ASSERT_EQ(fresh->size(), 64u);
+  for (const std::uint8_t b : fresh->bytes()) EXPECT_EQ(b, 0u);
+
+  // clone() into recycled storage copies the source, nothing stale.
+  auto src = Packet::make_synthetic(tuple(3, 4), 6, 96);
+  src->flow_id = 21;
+  src->seq_in_flow = 22;
+  scribble(*fresh);
+  recycled = fresh.get();
+  fresh.reset();
+  auto copy = src->clone();
+  ASSERT_EQ(copy.get(), recycled);
+  EXPECT_EQ(copy->rx_time, NanoTime{0});
+  EXPECT_EQ(copy->nic_ingress_done, NanoTime{0});
+  EXPECT_EQ(copy->tuple, tuple(3, 4));
+  EXPECT_EQ(copy->vni, 6u);
+  EXPECT_EQ(copy->pkt_class, PktClass::kUnclassified);
+  EXPECT_EQ(copy->pod, 0u);
+  EXPECT_EQ(copy->rx_queue, 0u);
+  EXPECT_EQ(copy->flow_id, 21u);
+  EXPECT_EQ(copy->seq_in_flow, 22u);
+  EXPECT_FALSE(copy->has_plb_meta());
+  EXPECT_EQ(copy->size(), 96u);
 }
 
 TEST(Headers, EthernetRoundTrip) {
@@ -230,6 +287,40 @@ TEST(Parser, BgpAndBfdAreProtocolPackets) {
 TEST(Parser, TruncatedFrameRejected) {
   std::vector<std::uint8_t> tiny(10, 0);
   EXPECT_FALSE(parse_packet(tiny).has_value());
+}
+
+TEST(Parser, RejectsEtherTypesOutsideTheParseGraph) {
+  // All-zero synthetic frames carry EtherType 0.
+  const std::vector<std::uint8_t> zeros(256, 0);
+  EXPECT_FALSE(parse_packet(zeros).has_value());
+
+  UdpFlowSpec spec;
+  spec.tuple = tuple();
+  const auto pkt = build_udp_packet(spec);
+  std::vector<std::uint8_t> frame(pkt->bytes().begin(), pkt->bytes().end());
+  ASSERT_TRUE(parse_packet(frame).has_value());
+  frame[12] = 0x08;  // ARP
+  frame[13] = 0x06;
+  EXPECT_FALSE(parse_packet(frame).has_value());
+
+  // An 802.1Q tag in front of IPv4 parses; one wrapping ARP does not.
+  const auto tagged = [&frame](std::uint16_t inner) {
+    std::vector<std::uint8_t> out(frame.begin(), frame.begin() + 12);
+    out.push_back(0x81);
+    out.push_back(0x00);
+    VlanTag tag;
+    tag.vlan_id = 42;
+    tag.inner_ether_type = inner;
+    std::uint8_t buf[VlanTag::kSize];
+    tag.write(buf);
+    out.insert(out.end(), buf, buf + VlanTag::kSize);
+    out.insert(out.end(), frame.begin() + EthernetHeader::kSize, frame.end());
+    return out;
+  };
+  const auto ok = parse_packet(tagged(0x0800));
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->flow_tuple(), tuple());
+  EXPECT_FALSE(parse_packet(tagged(0x0806)).has_value());
 }
 
 TEST(Parser, AnnotateFillsMetadata) {

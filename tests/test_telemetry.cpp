@@ -50,6 +50,27 @@ TEST(Metrics, ExposeFormat) {
   EXPECT_NE(text.find("albatross_up{pod=\"0\"} 1"), std::string::npos);
 }
 
+TEST(Metrics, InterleavedRegistrationGetsOneHeaderPerName) {
+  // Per-AZ registration: each AZ registers the same names in turn.
+  MetricsRegistry reg;
+  for (const char* az : {"az-a", "az-b", "az-c"}) {
+    reg.register_counter("x_incidents_total", {{"az", az}},
+                         [] { return 1.0; }, "incidents");
+    reg.register_gauge("x_offline", {{"az", az}}, [] { return 0.0; });
+  }
+  const std::string text = reg.expose();
+  EXPECT_EQ(text,
+            "# HELP x_incidents_total incidents\n"
+            "# TYPE x_incidents_total counter\n"
+            "x_incidents_total{az=\"az-a\"} 1\n"
+            "x_incidents_total{az=\"az-b\"} 1\n"
+            "x_incidents_total{az=\"az-c\"} 1\n"
+            "# TYPE x_offline gauge\n"
+            "x_offline{az=\"az-a\"} 0\n"
+            "x_offline{az=\"az-b\"} 0\n"
+            "x_offline{az=\"az-c\"} 0\n");
+}
+
 TEST(Metrics, PlatformRegistrationCoversPodsAndGop) {
   auto s = SinglePodScenario::make(ServiceKind::kVpcVpc, 2, LbMode::kPlb);
   PoissonFlowConfig bg;

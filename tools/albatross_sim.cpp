@@ -188,14 +188,13 @@ int run_fuzz(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = integer_arg<std::uint64_t>(a, next());
     } else if (a == "--seeds") {
-      seeds = std::strtoull(next(), nullptr, 10);
+      seeds = integer_arg<std::uint64_t>(a, next());
     } else if (a == "--ticks") {
-      ticks = std::strtoull(next(), nullptr, 10);
+      ticks = integer_arg<std::uint64_t>(a, next());
     } else if (a == "--burst") {
-      rx_burst = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::strtoull(next(), nullptr, 10)));
+      rx_burst = std::max<std::size_t>(1, integer_arg<std::size_t>(a, next()));
     } else if (a == "--tier") {
       with_tier = true;
     } else if (a == "--chaos") {
